@@ -21,6 +21,8 @@ const (
 	// bdFloorASR is the pre-deletion ASR the backdoor must reach for the
 	// forgetting to be meaningful; below it the run fails its check.
 	bdFloorASR = 0.5
+	// bdEpisodes is the episodes per run.
+	bdEpisodes = 4
 )
 
 // newBackdoorEnv sets up one backdoor-cnn episode from sub, the episode's
@@ -98,7 +100,7 @@ func newBackdoorEnv(sub int64, r *rounds) (*forgetEnv, time.Duration, time.Durat
 }
 
 func runBackdoor(ctx context.Context, b *bench) error {
-	eps, err := runForgetWorkload(ctx, b, newBackdoorEnv, 4)
+	eps, err := runForgetWorkload(ctx, b, newBackdoorEnv, bdEpisodes, 4)
 	if err != nil {
 		return err
 	}

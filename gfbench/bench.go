@@ -103,16 +103,15 @@ type check struct {
 type bench struct {
 	workload string
 	seed     int64
-	budget   time.Duration
 	traced   bool
-	start    time.Time // start of the measured phase
 
 	metrics map[string]float64 // contract metrics by name
 	extra   []row              // workload-specific report lines
 	checks  []check
 
-	// attempted and failed count the run's operations: deletion requests,
-	// forgets and client updates (see README.md, failed_frac).
+	// attempted and failed count the run's operations, the ones that can
+	// fail: single deletions and valid stream requests (README.md,
+	// ok_frac).
 	attempted, failed int
 
 	setupS, generateS, newS []float64
@@ -120,15 +119,8 @@ type bench struct {
 	trace *traceSink // the traced pass's spans, nil untraced
 }
 
-func newBench(workload string, seed int64, budget time.Duration, traced bool) *bench {
-	return &bench{
-		workload: workload,
-		seed:     seed,
-		budget:   budget,
-		traced:   traced,
-		start:    time.Now(),
-		metrics:  map[string]float64{},
-	}
+func newBench(workload string, seed int64, traced bool) *bench {
+	return &bench{workload: workload, seed: seed, traced: traced, metrics: map[string]float64{}}
 }
 
 // set records a contract metric.
@@ -152,12 +144,6 @@ func (b *bench) op(failed bool) {
 	}
 }
 
-// beginMeasuring starts the measured phase; the budget runs from here.
-func (b *bench) beginMeasuring() { b.start = time.Now() }
-
-// left returns the measurement budget still unused.
-func (b *bench) left() time.Duration { return b.budget - time.Since(b.start) }
-
 // timeSetup runs one workload set-up, recording its wall time and the data
 // generation and engine construction times it reports. Garbage left by
 // earlier episodes is collected first, so that the set-up time does not
@@ -175,36 +161,41 @@ func (b *bench) timeSetup(setup func() (gen, build time.Duration, err error)) er
 	return nil
 }
 
-// setupRepeats is how many set-ups every run times at least; setup_s is
-// their median.
-const setupRepeats = 9
+// setupMaker sets up one episode from its seed, returning the
+// data-generation and engine-construction times.
+type setupMaker func(sub int64) (gen, build time.Duration, err error)
 
-// warmSetups times setupRepeats−1 set-ups of the first episode's inputs,
-// which the run then discards, and starts the measured phase.
-func (b *bench) warmSetups(setup func(sub int64) (gen, build time.Duration, err error)) error {
-	for i := 1; i < setupRepeats; i++ {
+// setupsPerRun is how many throwaway set-ups a run times besides its
+// episodes' own; setup_s is the median of all of them.
+const setupsPerRun = 20
+
+// setups times n throwaway set-ups of the first episode's inputs.
+func (b *bench) setups(n int, setup setupMaker) error {
+	for i := 0; i < n; i++ {
 		err := b.timeSetup(func() (time.Duration, time.Duration, error) { return setup(subSeed(b.seed, 0)) })
 		if err != nil {
 			return err
 		}
 	}
-	b.beginMeasuring()
 	return nil
 }
 
-// episodes runs episode(k) for k = 0, 1, … while the budget lasts: the
-// first always runs, and another starts while at least half the last
-// one's length is left.
-func (b *bench) episodes(episode func(k int) error) error {
-	var last time.Duration
-	for k := 0; k == 0 || b.left() > last/2; k++ {
-		t := time.Now()
+// episodes runs episode(k) for k = 0 … n−1. The count is fixed per
+// workload, not set by the clock, so that the same seed measures the same
+// inputs however fast the program runs. The throwaway set-ups are spread
+// over the run, before each episode and after the last, so that setup_s
+// samples the whole run and not only its start.
+func (b *bench) episodes(n int, setup setupMaker, episode func(k int) error) error {
+	per := (setupsPerRun + n) / (n + 1)
+	for k := 0; k < n; k++ {
+		if err := b.setups(per, setup); err != nil {
+			return err
+		}
 		if err := episode(k); err != nil {
 			return fmt.Errorf("episode %d: %w", k, err)
 		}
-		last = time.Since(t)
 	}
-	return nil
+	return b.setups(per, setup)
 }
 
 // finish fills the metrics every workload shares.
@@ -268,8 +259,8 @@ func (b *bench) writeReport(w io.Writer) {
 	if b.traced {
 		mode = "per-layer, traced"
 	}
-	fmt.Fprintf(w, "gfbench %s seed=%d budget=%s (%s) GOMAXPROCS=%d\n",
-		b.workload, b.seed, b.budget, mode, runtime.GOMAXPROCS(0))
+	fmt.Fprintf(w, "gfbench %s seed=%d (%s) GOMAXPROCS=%d\n",
+		b.workload, b.seed, mode, runtime.GOMAXPROCS(0))
 	for _, s := range b.contract() {
 		v, ok := b.metrics[s.name]
 		if !ok {
@@ -371,8 +362,9 @@ func (r *rounds) merge(o *rounds) {
 	r.dropped += o.dropped
 }
 
-// report records the round-level metrics and counts client updates as
-// operations.
+// reportRounds records the round-level metrics. Client updates are not
+// operations: in one process no update is dropped, so they could not fail
+// (fed.dropped_frac reports them).
 func (b *bench) reportRounds(r *rounds) {
 	b.set("train_samples_per_s", median(r.rate))
 	b.set("alloc_mb_per_round", median(r.alloc))
@@ -380,9 +372,7 @@ func (b *bench) reportRounds(r *rounds) {
 	b.set("fed.dropped_frac", ratio(float64(r.dropped), float64(r.updates)))
 	b.set("core.epochs_run_frac", ratio(float64(r.epochs), float64(r.epochBudget)))
 	b.note("rounds", float64(len(r.wall)), "count", "", "engine rounds measured")
-	for i := 0; i < r.updates; i++ {
-		b.op(i < r.dropped)
-	}
+	b.note("client_updates", float64(r.updates), "count", "", fmt.Sprintf("%d dropped", r.dropped))
 }
 
 // finite checks that the engine's global state holds only finite numbers.

@@ -32,6 +32,8 @@ const (
 	cfMinPre     = 5
 	cfLearnedAcc = 0.8
 	cfTrainedAcc = 0.9
+	// cfEpisodes is the episodes per run.
+	cfEpisodes = 1
 )
 
 // newClassForgetEnv sets up one class-forget-resnet episode from sub, the
@@ -115,7 +117,7 @@ func newClassForgetEnv(sub int64, r *rounds) (*forgetEnv, time.Duration, time.Du
 }
 
 func runClassForget(ctx context.Context, b *bench) error {
-	eps, err := runForgetWorkload(ctx, b, newClassForgetEnv, 3)
+	eps, err := runForgetWorkload(ctx, b, newClassForgetEnv, cfEpisodes, 3)
 	if err != nil {
 		return err
 	}

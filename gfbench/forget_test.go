@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"testing"
+	"time"
+)
 
 func TestTrackerForgetsThenRecovers(t *testing.T) {
 	tr := newTracker(0.9, 10, 0.5)
@@ -57,12 +60,43 @@ func TestMissedForgetCountsAsFailed(t *testing.T) {
 	miss.observe(1, 0.1, 0.5)
 	miss.observe(1, 0.1, 0.5)
 
-	b := newBench("test", 1, 0, false)
+	b := newBench("test", 1, false)
 	b.reportEpisodes([]episode{{preAcc: 0.9, track: hit}, {preAcc: 0.9, track: miss}}, "asr")
 	if b.attempted != 2 || b.failed != 1 {
 		t.Fatalf("attempted %d failed %d, want 2 and 1", b.attempted, b.failed)
 	}
 	if got := b.metrics["time_to_forget_s"]; got != (1.1+2.1)/2 {
 		t.Fatalf("time_to_forget_s = %g, want the median of 1.1 and the capped 2.1", got)
+	}
+}
+
+// TestClientUpdatesAreNotOperations checks that round accounting leaves
+// the operation count to the deletions: client updates are reported but
+// cannot fail in one process.
+func TestClientUpdatesAreNotOperations(t *testing.T) {
+	b := newBench("test", 1, false)
+	b.reportRounds(&rounds{wall: []float64{1}, rate: []float64{1}, alloc: []float64{1}, updates: 10, dropped: 2})
+	if b.attempted != 0 || b.failed != 0 {
+		t.Fatalf("attempted %d failed %d after a round report, want 0 and 0", b.attempted, b.failed)
+	}
+	if got := b.metrics["fed.dropped_frac"]; got != 0.2 {
+		t.Fatalf("fed.dropped_frac = %g, want 0.2", got)
+	}
+}
+
+// TestEpisodesFixedCount checks that a run measures a fixed number of
+// episodes and spreads the throwaway set-ups around them.
+func TestEpisodesFixedCount(t *testing.T) {
+	b := newBench("test", 1, false)
+	var ran []int
+	setup := func(int64) (time.Duration, time.Duration, error) { return 0, 0, nil }
+	if err := b.episodes(3, setup, func(k int) error { ran = append(ran, k); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if len(ran) != 3 || ran[0] != 0 || ran[2] != 2 {
+		t.Fatalf("episodes ran %v, want [0 1 2]", ran)
+	}
+	if len(b.setupS) < setupsPerRun {
+		t.Fatalf("%d set-ups timed, want at least %d", len(b.setupS), setupsPerRun)
 	}
 }

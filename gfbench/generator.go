@@ -6,40 +6,23 @@ import (
 	"goldfish"
 )
 
-// streamConfig shapes deletion-stream's request stream.
-type streamConfig struct {
-	// labels holds, per client position, the label of each original row.
-	labels  [][]int
-	classes int
-
-	maxPerRound int     // sample requests per round: uniform in [0, maxPerRound]
-	maxRows     int     // rows per sample request: uniform in [1, maxRows]
-	staleFrac   float64 // share of sample requests naming rows already deleted
-	staleLag    int     // rounds after which a requested row counts as deleted
-	burstEvery  int     // a burst every burstEvery rounds (0: none)
-	burstSize   int     // extra sample requests in a burst
-	classEvery  int     // a class deletion every classEvery rounds (0: none)
-	classDrops  int     // class deletions over the stream
-	removeAt    int     // the round the last client is removed at (0: never)
-}
-
-// defaultStream is deletion-stream's request mix over a federation with the
-// given row labels.
-func defaultStream(labels [][]int, classes int) streamConfig {
-	return streamConfig{
-		labels:      labels,
-		classes:     classes,
-		maxPerRound: 2,
-		maxRows:     3,
-		staleFrac:   0.1,
-		staleLag:    3,
-		burstEvery:  25,
-		burstSize:   streamQueueCap + 8,
-		classEvery:  40,
-		classDrops:  2,
-		removeAt:    62,
-	}
-}
+// deletion-stream's request mix. The steady rate, the rows per request
+// and the burst size follow the repository's own serve load profiles:
+// internal/serve/profile.go draws Rate = 2 sample requests a round of 1–2
+// rows each, and internal/bench/serve.go sizes its burst at QueueCap +
+// QueueCap/2. The other values are synthetic choices, measured from no
+// caller; README.md reports how ok_frac moves with the stale share.
+const (
+	streamRate       = 2                                     // sample requests every round
+	streamMaxRows    = 2                                     // rows per sample request: uniform in [1, streamMaxRows]
+	streamBurstEvery = 25                                    // a burst every streamBurstEvery rounds
+	streamBurstSize  = streamQueueCap + (streamQueueCap+1)/2 // extra sample requests in a burst
+	streamStaleFrac  = 0.1                                   // share of sample requests naming rows already deleted
+	streamStaleLag   = 3                                     // rounds after which a requested row counts as deleted
+	streamClassEvery = 40                                    // a class deletion at rounds 20, 60, …
+	streamClassDrops = 2                                     // class deletions over the stream
+	streamRemoveAt   = 62                                    // the round the last client is removed at
+)
 
 // arrival is one generated request, due at the start of round.
 type arrival struct {
@@ -58,9 +41,8 @@ type stamped struct{ row, round int }
 // only rows it never named before, never of a class it will delete, and
 // never on the client it will remove; class deletions and the removal are
 // scheduled up front. Stale requests name rows it requested at least
-// staleLag rounds earlier, as callers that resend an old request do.
+// streamStaleLag rounds earlier.
 type generator struct {
-	cfg       streamConfig
 	rng       *rand.Rand
 	free      [][]int     // per client: rows never requested, eligible for sample requests
 	requested [][]stamped // per client: rows requested so far
@@ -69,21 +51,19 @@ type generator struct {
 	dropped   int
 }
 
-func newGenerator(cfg streamConfig, seed int64) *generator {
-	g := &generator{cfg: cfg, rng: rand.New(rand.NewSource(seed)), sampleTo: len(cfg.labels)}
-	if cfg.removeAt > 0 && len(cfg.labels) > 1 {
-		g.sampleTo--
-	}
-	if cfg.classEvery > 0 {
-		g.drops = g.rng.Perm(cfg.classes)[:min(cfg.classDrops, cfg.classes-1)]
-	}
+// newGenerator returns the stream over a federation whose labels hold, per
+// client position, the label in [0, classes) of each original row. It needs
+// at least two clients and three classes.
+func newGenerator(labels [][]int, classes int, seed int64) *generator {
+	g := &generator{rng: rand.New(rand.NewSource(seed)), sampleTo: len(labels) - 1}
+	g.drops = g.rng.Perm(classes)[:streamClassDrops]
 	doomed := map[int]bool{}
 	for _, c := range g.drops {
 		doomed[c] = true
 	}
-	g.free = make([][]int, len(cfg.labels))
-	g.requested = make([][]stamped, len(cfg.labels))
-	for c, ys := range cfg.labels {
+	g.free = make([][]int, len(labels))
+	g.requested = make([][]stamped, len(labels))
+	for c, ys := range labels {
 		for row, y := range ys {
 			if !doomed[y] {
 				g.free[c] = append(g.free[c], row)
@@ -96,37 +76,34 @@ func newGenerator(cfg streamConfig, seed int64) *generator {
 // next returns the requests arriving at the start of round.
 func (g *generator) next(round int) []arrival {
 	var out []arrival
-	n := g.rng.Intn(g.cfg.maxPerRound + 1)
-	if g.cfg.burstEvery > 0 && round > 0 && round%g.cfg.burstEvery == 0 {
-		n += g.cfg.burstSize
+	n := streamRate
+	if round > 0 && round%streamBurstEvery == 0 {
+		n += streamBurstSize
 	}
 	for i := 0; i < n; i++ {
 		if a, ok := g.sample(round); ok {
 			out = append(out, a)
 		}
 	}
-	if g.cfg.classEvery > 0 && round%g.cfg.classEvery == g.cfg.classEvery/2 && g.dropped < len(g.drops) {
+	if round%streamClassEvery == streamClassEvery/2 && g.dropped < len(g.drops) {
 		out = append(out, arrival{round: round, req: goldfish.DeletionRequest{Kind: goldfish.DeleteClass, Class: g.drops[g.dropped]}})
 		g.dropped++
 	}
-	if round == g.cfg.removeAt && g.sampleTo < len(g.cfg.labels) {
+	if round == streamRemoveAt {
 		out = append(out, arrival{round: round, req: goldfish.DeletionRequest{Kind: goldfish.DeleteClient, Client: g.sampleTo}})
 	}
 	return out
 }
 
-// sample generates one sample request: stale with probability staleFrac
-// when an old enough requested row exists, otherwise valid.
+// sample generates one sample request: stale with probability
+// streamStaleFrac when an old enough requested row exists, otherwise valid.
 func (g *generator) sample(round int) (arrival, bool) {
-	if g.sampleTo == 0 {
-		return arrival{}, false
-	}
 	client := g.rng.Intn(g.sampleTo)
-	stale := g.rng.Float64() < g.cfg.staleFrac
+	stale := g.rng.Float64() < streamStaleFrac
 	if stale {
 		var old []int
 		for _, s := range g.requested[client] {
-			if s.round <= round-g.cfg.staleLag {
+			if s.round <= round-streamStaleLag {
 				old = append(old, s.row)
 			}
 		}
@@ -136,7 +113,7 @@ func (g *generator) sample(round int) (arrival, bool) {
 		}
 	}
 	free := g.free[client]
-	k := min(1+g.rng.Intn(g.cfg.maxRows), len(free))
+	k := min(1+g.rng.Intn(streamMaxRows), len(free))
 	if k == 0 {
 		return arrival{}, false
 	}

@@ -18,7 +18,7 @@ func testLabels() [][]int {
 }
 
 func stream(seed int64, rounds int) []arrival {
-	g := newGenerator(defaultStream(testLabels(), 10), seed)
+	g := newGenerator(testLabels(), 10, seed)
 	var out []arrival
 	for r := 0; r < rounds; r++ {
 		out = append(out, g.next(r)...)
@@ -37,7 +37,6 @@ func TestGeneratorDeterministic(t *testing.T) {
 }
 
 func TestGeneratorStaleShare(t *testing.T) {
-	cfg := defaultStream(testLabels(), 10)
 	var samples, stale int
 	for seed := int64(1); seed <= 10; seed++ {
 		for _, a := range stream(seed, 100) {
@@ -52,9 +51,9 @@ func TestGeneratorStaleShare(t *testing.T) {
 	}
 	share := float64(stale) / float64(samples)
 	// Early rounds have no old enough rows to resend, so the share sits a
-	// little below staleFrac.
-	if share < cfg.staleFrac*0.7 || share > cfg.staleFrac*1.1 {
-		t.Fatalf("stale share %.3f over %d sample requests, want about %.2f", share, samples, cfg.staleFrac)
+	// little below streamStaleFrac.
+	if share < streamStaleFrac*0.7 || share > streamStaleFrac*1.1 {
+		t.Fatalf("stale share %.3f over %d sample requests, want about %.2f", share, samples, streamStaleFrac)
 	}
 }
 
@@ -64,9 +63,8 @@ func TestGeneratorStaleShare(t *testing.T) {
 // before.
 func TestGeneratorValidRequestsStayValid(t *testing.T) {
 	labels := testLabels()
-	cfg := defaultStream(labels, 10)
 	for seed := int64(1); seed <= 5; seed++ {
-		g := newGenerator(cfg, seed)
+		g := newGenerator(labels, 10, seed)
 		requested := map[[2]int]int{} // (client, row) → round
 		classGone := map[int]bool{}
 		clients := len(labels)
@@ -93,8 +91,8 @@ func TestGeneratorValidRequestsStayValid(t *testing.T) {
 					for _, row := range a.req.Rows {
 						at, seen := requested[[2]int{a.req.Client, row}]
 						if a.stale {
-							if !seen || at > round-cfg.staleLag {
-								t.Fatalf("seed %d round %d: stale row %d not requested %d rounds before", seed, round, row, cfg.staleLag)
+							if !seen || at > round-streamStaleLag {
+								t.Fatalf("seed %d round %d: stale row %d not requested %d rounds before", seed, round, row, streamStaleLag)
 							}
 							continue
 						}
@@ -109,8 +107,8 @@ func TestGeneratorValidRequestsStayValid(t *testing.T) {
 				}
 			}
 		}
-		if classes != cfg.classDrops || removals != 1 {
-			t.Fatalf("seed %d: %d class deletions and %d removals, want %d and 1", seed, classes, removals, cfg.classDrops)
+		if classes != streamClassDrops || removals != 1 {
+			t.Fatalf("seed %d: %d class deletions and %d removals, want %d and 1", seed, classes, removals, streamClassDrops)
 		}
 	}
 }
@@ -122,8 +120,7 @@ func TestGeneratorBurstsExceedQueue(t *testing.T) {
 	for _, a := range stream(3, 60) {
 		perRound[a.round]++
 	}
-	cfg := defaultStream(testLabels(), 10)
-	if perRound[cfg.burstEvery] <= streamQueueCap {
-		t.Fatalf("burst round brings %d requests, queue holds %d", perRound[cfg.burstEvery], streamQueueCap)
+	if perRound[streamBurstEvery] <= streamQueueCap {
+		t.Fatalf("burst round brings %d requests, queue holds %d", perRound[streamBurstEvery], streamQueueCap)
 	}
 }

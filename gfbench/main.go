@@ -24,7 +24,6 @@ import (
 	"os"
 	"sort"
 	"strings"
-	"time"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -41,7 +40,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	workload := fs.String("workload", "", "workload to run: "+strings.Join(workloadNames(), ", "))
 	seed := fs.Int64("seed", 1, "workload seed; the same seed gives the same inputs")
-	seconds := fs.Int("seconds", 40, "measurement budget in seconds")
+	seconds := fs.Int("seconds", 40, "nominal run length in seconds; each workload runs a fixed number of episodes, sized to take about 40 s on 2 vCPUs, so the same seed always measures the same work")
 	trace := fs.Int("trace", 0, "0: end-to-end metrics, untraced; 1: per-layer metrics from a traced pass")
 	traceOut := fs.String("trace-out", ".bench_build/trace.jsonl", "with -trace 1, the file the traced pass's spans are written to at the end (empty: none)")
 	if err := fs.Parse(args); err != nil {
@@ -52,7 +51,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "gfbench: need -workload one of %v, -seconds > 0 and -trace 0 or 1\n", workloadNames())
 		return 2
 	}
-	b := newBench(*workload, *seed, time.Duration(*seconds)*time.Second, *trace == 1)
+	b := newBench(*workload, *seed, *trace == 1)
 	if err := drive(context.Background(), b); err != nil {
 		fmt.Fprintf(stderr, "gfbench: %s: %v\n", *workload, err)
 		return 1

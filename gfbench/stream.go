@@ -17,7 +17,8 @@ import (
 // with an MLP (no Conv2D), fed an open-loop request stream on the round
 // clock. Every round is an unlearning round.
 const (
-	streamQueueCap = 16  // the service's queue capacity
+	streamQueueCap = 8   // the service's queue capacity, the serve harness's default (internal/bench/serve.go)
+	streamEpisodes = 12  // episodes per run
 	streamRounds   = 100 // arrival rounds per episode
 	streamDrain    = 10  // rounds after the arrivals for the last requests to recover
 	streamAttempts = 5   // a request refused (queue full) this many times counts as failed
@@ -72,7 +73,7 @@ func newStreamEnv(sub int64, r *rounds, o *goldfish.Observer) (*streamEnv, time.
 	return &streamEnv{
 		e:     e,
 		svc:   svc,
-		gen:   newGenerator(defaultStream(labels, train.Classes), sub),
+		gen:   newGenerator(labels, train.Classes, sub),
 		r:     r,
 		probe: probeInput{cfg: cfg, data: parts[0], forget: parts[0]},
 	}, gen, build, nil
@@ -211,19 +212,19 @@ func (st *streamStats) settle(svc *goldfish.DeletionService, outstanding []*requ
 }
 
 func runStream(ctx context.Context, b *bench) error {
-	err := b.warmSetups(func(sub int64) (time.Duration, time.Duration, error) {
+	setup := func(sub int64) (time.Duration, time.Duration, error) {
 		_, gen, build, err := newStreamEnv(sub, &rounds{}, nil)
 		return gen, build, err
-	})
-	if err != nil {
-		return err
 	}
 	if b.traced {
+		if err := b.setups(setupsPerRun, setup); err != nil {
+			return err
+		}
 		return tracedStream(ctx, b)
 	}
 	st := &streamStats{}
 	all := &rounds{}
-	err = b.episodes(func(k int) error {
+	err := b.episodes(streamEpisodes, setup, func(k int) error {
 		r := &rounds{}
 		var env *streamEnv
 		err := b.timeSetup(func() (gen, build time.Duration, err error) {

@@ -21,7 +21,7 @@ func TestStreamAccounting(t *testing.T) {
 	if err := runStreamEpisode(context.Background(), env, st, 60); err != nil {
 		t.Fatal(err)
 	}
-	b := newBench("deletion-stream", 3, 0, false)
+	b := newBench("deletion-stream", 3, false)
 	if err := st.finishEpisode(b, env, "test"); err != nil {
 		t.Fatal(err)
 	}

@@ -23,24 +23,23 @@ func subSeed(seed int64, k int) int64 {
 // the data-generation and engine-construction times.
 type envMaker func(sub int64, r *rounds) (*forgetEnv, time.Duration, time.Duration, error)
 
-// runForgetWorkload drives a single-deletion workload: episodes while
-// the budget lasts, each with its own inputs. The traced variant runs one
-// traced episode instead.
-func runForgetWorkload(ctx context.Context, b *bench, mk envMaker, traceK int) ([]episode, error) {
-	err := b.warmSetups(func(sub int64) (time.Duration, time.Duration, error) {
+// runForgetWorkload drives a single-deletion workload: n episodes, each
+// with its own inputs. The traced variant runs one traced episode instead.
+func runForgetWorkload(ctx context.Context, b *bench, mk envMaker, n, traceK int) ([]episode, error) {
+	setup := func(sub int64) (time.Duration, time.Duration, error) {
 		_, gen, build, err := mk(sub, &rounds{})
 		return gen, build, err
-	})
-	if err != nil {
-		return nil, err
 	}
 	if b.traced {
+		if err := b.setups(setupsPerRun, setup); err != nil {
+			return nil, err
+		}
 		ep, err := tracedEpisode(ctx, b, mk, traceK)
 		return []episode{ep}, err
 	}
 	all := &rounds{}
 	var eps []episode
-	err = b.episodes(func(k int) error {
+	err := b.episodes(n, setup, func(k int) error {
 		r := &rounds{}
 		var env *forgetEnv
 		err := b.timeSetup(func() (gen, build time.Duration, err error) {
@@ -100,6 +99,9 @@ func tracedEpisode(ctx context.Context, b *bench, mk envMaker, traceK int) (epis
 	if err != nil {
 		return ep, err
 	}
+	// The traced pass stops once forgetting holds, so its one operation
+	// fails only if forgetting misses the cap.
+	b.op(!ep.track.forgot())
 	env.checkRemoved(b)
 	b.finite(env.e, "traced episode")
 	b.reportOverhead(ref.wall[1:traceK+1], r.wall[1:traceK+1])
