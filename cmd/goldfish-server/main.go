@@ -270,6 +270,11 @@ func runService(dataset, scale, strategy, obsAddr string, clients, rounds, queue
 	return 0
 }
 
+// obsReadHeaderTimeout bounds how long a connection to the obs endpoint may
+// take to send its request headers, so idle or trickling clients cannot hold
+// connections open.
+const obsReadHeaderTimeout = 10 * time.Second
+
 // startObsServer exposes the observer's metrics (plus health and pprof
 // endpoints) over HTTP on addr and serves in the background, with any extra
 // mounts co-hosted on the same mux (-serve adds the /unlearn API). The
@@ -280,7 +285,10 @@ func startObsServer(addr string, o *goldfish.Observer, mounts ...func(*http.Serv
 	if err != nil {
 		return nil, nil, fmt.Errorf("obs endpoint: %w", err)
 	}
-	srv := &http.Server{Handler: obs.Handler("goldfish-server "+version.Version, o.Registry(), mounts...)}
+	srv := &http.Server{
+		Handler:           obs.Handler("goldfish-server "+version.Version, o.Registry(), mounts...),
+		ReadHeaderTimeout: obsReadHeaderTimeout,
+	}
 	//goldfish:goleakok — joined by the caller's deferred srv.Shutdown: Serve returns ErrServerClosed on graceful shutdown and the goroutine exits
 	go func() {
 		if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {

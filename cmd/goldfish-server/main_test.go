@@ -33,6 +33,9 @@ func TestObsEndpoints(t *testing.T) {
 			t.Errorf("shutdown: %v", err)
 		}
 	}()
+	if srv.ReadHeaderTimeout != obsReadHeaderTimeout || obsReadHeaderTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want %v", srv.ReadHeaderTimeout, obsReadHeaderTimeout)
+	}
 	base := "http://" + ln.Addr().String()
 
 	resp, err := http.Get(base + "/healthz")

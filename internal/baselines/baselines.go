@@ -1,5 +1,5 @@
-// Package baselines implements the three comparison systems of the paper's
-// evaluation (§IV-A "Baselines"):
+// Package baselines implements the client side of the three comparison
+// systems of the paper's evaluation (§IV-A "Baselines"):
 //
 //   - B1 — retrain from scratch after dropping the removed data
 //     (the reference unlearning procedure, as in Zhang et al. [23]);
@@ -9,13 +9,11 @@
 //     from the competent (original) teacher on remaining data and from a
 //     randomly initialized incompetent teacher on removed data.
 //
-// Running B1 with no removals doubles as the "origin" model (train on
-// everything, never unlearn).
-//
-// The trainer types (PlainTrainer, IncompetentTrainer) are exported so the
-// unlearning-strategy registry (internal/unlearn) can drive the baselines
-// through the same round engine as the Goldfish procedure; the package-level
-// functions remain the one-shot experiment entry points.
+// The trainers (PlainTrainer, IncompetentTrainer) are fed.LocalTrainers.
+// The unlearning-strategy registry (internal/unlearn) registers them as
+// "retrain", "fisher" and "incompetent-teacher" and drives them through the
+// same round engine as the Goldfish procedure; that is the only way a
+// baseline runs.
 package baselines
 
 import (
@@ -34,60 +32,15 @@ import (
 	"goldfish/internal/tensor"
 )
 
-// Scenario bundles the training setup shared by all baselines.
-type Scenario struct {
-	// Model is the architecture every participant trains.
-	Model model.Config
-	// Opt configures local SGD.
-	Opt optim.SGDConfig
-	// LocalEpochs is the number of local epochs per round.
-	LocalEpochs int
-	// BatchSize is the local mini-batch size.
-	BatchSize int
-	// Seed drives all baseline randomness.
-	Seed int64
-}
-
-// Validate reports scenario errors.
-func (s Scenario) Validate() error {
-	if err := s.Opt.Validate(); err != nil {
-		return fmt.Errorf("baselines: %w", err)
-	}
-	if s.LocalEpochs <= 0 {
-		return fmt.Errorf("baselines: LocalEpochs must be positive, got %d", s.LocalEpochs)
-	}
-	if s.BatchSize <= 0 {
-		return fmt.Errorf("baselines: BatchSize must be positive, got %d", s.BatchSize)
-	}
-	return nil
-}
-
-// RoundHook observes the global state vector after each aggregated round.
-type RoundHook func(round int, global []float64)
-
-// dropRemoved returns client datasets without their removed rows.
-func dropRemoved(parts []*data.Dataset, removed map[int][]int) []*data.Dataset {
-	out := make([]*data.Dataset, len(parts))
-	for i, p := range parts {
-		if rows := removed[i]; len(rows) > 0 {
-			out[i] = p.Remove(rows)
-		} else {
-			out[i] = p
-		}
-	}
-	return out
-}
-
 // PlainTrainer is per-client local SGD on hard loss, optionally with
 // diagonal-FIM preconditioning (the B2 rapid-retraining rule). It implements
 // fed.LocalTrainer.
 type PlainTrainer struct {
 	id      int
-	sc      Scenario
+	cfg     core.Config
 	ds      *data.Dataset
 	net     *nn.Network
 	opt     *optim.SGD
-	hard    loss.Hard
 	rng     *rand.Rand
 	precond bool
 	fim     []float64 // EMA of squared gradients (diagonal FIM estimate)
@@ -97,31 +50,30 @@ var _ fed.LocalTrainer = (*PlainTrainer)(nil)
 
 // NewPlainTrainer builds a B1/B2 client over its local dataset. precond
 // enables the B2 Fisher preconditioning.
-func NewPlainTrainer(id int, sc Scenario, ds *data.Dataset, precond bool) (*PlainTrainer, error) {
-	if err := sc.Validate(); err != nil {
-		return nil, err
+func NewPlainTrainer(id int, cfg core.Config, ds *data.Dataset, precond bool) (*PlainTrainer, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, fmt.Errorf("baselines: %w", err)
 	}
 	if ds == nil || ds.Len() == 0 {
 		return nil, fmt.Errorf("baselines: client %d has no data", id)
 	}
-	mcfg := sc.Model
-	mcfg.Seed = sc.Model.Seed + int64(id)*977 + 13
+	mcfg := cfg.Model
+	mcfg.Seed = cfg.Model.Seed + int64(id)*977 + 13
 	net, err := model.Build(mcfg)
 	if err != nil {
 		return nil, fmt.Errorf("baselines: %w", err)
 	}
-	opt, err := optim.NewSGD(sc.Opt)
+	opt, err := optim.NewSGD(cfg.Opt)
 	if err != nil {
 		return nil, fmt.Errorf("baselines: %w", err)
 	}
 	return &PlainTrainer{
 		id:      id,
-		sc:      sc,
+		cfg:     cfg,
 		ds:      ds,
 		net:     net,
 		opt:     opt,
-		hard:    loss.CrossEntropy{},
-		rng:     rand.New(rand.NewSource(sc.Seed*7907 + int64(id))),
+		rng:     rand.New(rand.NewSource(cfg.Seed*7907 + int64(id))),
 		precond: precond,
 	}, nil
 }
@@ -154,7 +106,7 @@ func (p *PlainTrainer) Forget(rows []int) error {
 // state accumulated around the pre-deletion model that a from-scratch
 // retrain must not inherit.
 func (p *PlainTrainer) Reset() error {
-	opt, err := optim.NewSGD(p.sc.Opt)
+	opt, err := optim.NewSGD(p.cfg.Opt)
 	if err != nil {
 		return fmt.Errorf("baselines: %w", err)
 	}
@@ -172,13 +124,14 @@ func (p *PlainTrainer) TrainRound(ctx context.Context, round int, global []float
 	for i := range idx {
 		idx[i] = i
 	}
-	gl := loss.Goldfish{Hard: p.hard, ForgetScale: 1}
+	var transform core.GradTransform
+	if p.precond {
+		transform = p.precondition
+	}
+	gl := loss.Goldfish{Hard: loss.CrossEntropy{}, ForgetScale: 1}
 	var last core.EpochResult
-	for e := 0; e < p.sc.LocalEpochs; e++ {
-		if err := ctx.Err(); err != nil {
-			return fed.ModelUpdate{}, err
-		}
-		res, err := p.trainEpoch(ctx, idx, gl)
+	for e := 0; e < p.cfg.LocalEpochs; e++ {
+		res, err := core.TrainEpoch(ctx, p.net, nil, p.ds, idx, nil, gl, p.opt, p.cfg.BatchSize, p.rng, transform)
 		if err != nil {
 			return fed.ModelUpdate{}, err
 		}
@@ -193,121 +146,39 @@ func (p *PlainTrainer) TrainRound(ctx context.Context, round int, global []float
 	}, nil
 }
 
-func (p *PlainTrainer) trainEpoch(ctx context.Context, idx []int, gl loss.Goldfish) (core.EpochResult, error) {
-	if !p.precond {
-		return core.TrainEpoch(ctx, p.net, nil, p.ds, idx, nil, gl, p.opt, p.sc.BatchSize, p.rng)
-	}
-	// B2: same batches, but gradients are rescaled by the inverse root of
-	// the running diagonal Fisher estimate before each step — Liu et al.'s
-	// curvature-guided fast recovery in first-order form.
-	var res core.EpochResult
-	params := p.net.Params()
-	if p.fim == nil {
-		p.fim = make([]float64, p.net.NumParams())
-	}
-	batches := data.BatchIndices(len(idx), p.sc.BatchSize, p.rng)
+// precondition is the B2 gradient transform: each gradient is rescaled by
+// the inverse root of the running diagonal Fisher estimate before the step
+// — Liu et al.'s curvature-guided fast recovery in first-order form.
+func (p *PlainTrainer) precondition(params []*nn.Param) {
 	const (
 		decay = 0.9
 		eps   = 1e-4
 	)
-	for _, b := range batches {
-		if err := ctx.Err(); err != nil {
-			return res, err
+	if p.fim == nil {
+		p.fim = make([]float64, p.net.NumParams())
+	}
+	off := 0
+	for _, pr := range params {
+		g := pr.G.Data()
+		for j := range g {
+			f := decay*p.fim[off] + (1-decay)*g[j]*g[j]
+			p.fim[off] = f
+			g[j] /= math.Sqrt(f) + eps
+			off++
 		}
-		rows := make([]int, len(b))
-		for i, j := range b {
-			rows[i] = idx[j]
-		}
-		x := sliceX(p.ds, rows)
-		logits := p.net.Forward(x, true)
-		hardLoss, grad := gl.Hard.Compute(logits, p.ds.LabelsFor(rows))
-		p.net.ZeroGrads()
-		p.net.Backward(grad)
-
-		off := 0
-		for _, pr := range params {
-			g := pr.G.Data()
-			for j := range g {
-				f := decay*p.fim[off] + (1-decay)*g[j]*g[j]
-				p.fim[off] = f
-				g[j] /= math.Sqrt(f) + eps
-				off++
-			}
-		}
-		p.opt.Step(params)
-		res.HardLoss += hardLoss
-		res.TotalLoss += hardLoss
 	}
-	if len(batches) > 0 {
-		res.HardLoss /= float64(len(batches))
-		res.TotalLoss /= float64(len(batches))
-	}
-	return res, nil
-}
-
-// runFederation drives trainers through a fed.Coordinator for the given
-// number of rounds.
-func runFederation(ctx context.Context, trainers []fed.LocalTrainer, initial []float64, rounds int, onRound RoundHook) ([]float64, error) {
-	cfg := fed.CoordinatorConfig{Rounds: rounds}
-	if onRound != nil {
-		cfg.OnRound = func(ri fed.RoundInfo) { onRound(ri.Round, ri.Global) }
-	}
-	coord, err := fed.NewCoordinator(cfg, initial, trainers)
-	if err != nil {
-		return nil, fmt.Errorf("baselines: %w", err)
-	}
-	return coord.Run(ctx)
-}
-
-// RetrainFromScratch implements B1: drop the removed rows, reinitialize the
-// global model and run plain FedAvg training for the given rounds. With an
-// empty removal map it trains the "origin" model.
-func RetrainFromScratch(ctx context.Context, sc Scenario, parts []*data.Dataset,
-	removed map[int][]int, rounds int, onRound RoundHook) ([]float64, error) {
-	return retrain(ctx, sc, parts, removed, rounds, false, onRound)
-}
-
-// RapidRetrain implements B2: like B1, but local updates are preconditioned
-// by a running diagonal Fisher-information estimate, which speeds recovery.
-func RapidRetrain(ctx context.Context, sc Scenario, parts []*data.Dataset,
-	removed map[int][]int, rounds int, onRound RoundHook) ([]float64, error) {
-	return retrain(ctx, sc, parts, removed, rounds, true, onRound)
 }
 
 // ReinitVector builds the freshly initialized global model a from-scratch
 // retrain starts at.
-func ReinitVector(sc Scenario, seedBump int64) ([]float64, error) {
-	mcfg := sc.Model
-	mcfg.Seed = sc.Seed + 4242 + seedBump // fresh initialization: this is a retrain
+func ReinitVector(cfg core.Config, seedBump int64) ([]float64, error) {
+	mcfg := cfg.Model
+	mcfg.Seed = cfg.Seed + 4242 + seedBump // fresh initialization: this is a retrain
 	initNet, err := model.Build(mcfg)
 	if err != nil {
 		return nil, fmt.Errorf("baselines: %w", err)
 	}
 	return initNet.StateVector(), nil
-}
-
-func retrain(ctx context.Context, sc Scenario, parts []*data.Dataset,
-	removed map[int][]int, rounds int, precond bool, onRound RoundHook) ([]float64, error) {
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
-	clean := dropRemoved(parts, removed)
-	trainers := make([]fed.LocalTrainer, len(clean))
-	for i, ds := range clean {
-		if ds.Len() == 0 {
-			return nil, fmt.Errorf("baselines: client %d has no data after removal", i)
-		}
-		t, err := NewPlainTrainer(i, sc, ds, precond)
-		if err != nil {
-			return nil, err
-		}
-		trainers[i] = t
-	}
-	initial, err := ReinitVector(sc, 0)
-	if err != nil {
-		return nil, err
-	}
-	return runFederation(ctx, trainers, initial, rounds, onRound)
 }
 
 // IncompetentTrainer is the B3 client (Chundawat et al.): it distills from
@@ -316,8 +187,7 @@ func retrain(ctx context.Context, sc Scenario, parts []*data.Dataset,
 // trains normally on hard loss. It implements fed.LocalTrainer.
 type IncompetentTrainer struct {
 	id          int
-	sc          Scenario
-	temp        float64
+	cfg         core.Config
 	dr          *data.Dataset
 	df          *data.Dataset
 	net         *nn.Network
@@ -330,35 +200,35 @@ type IncompetentTrainer struct {
 var _ fed.LocalTrainer = (*IncompetentTrainer)(nil)
 
 // NewIncompetentTrainer builds a B3 client over its local dataset. The
-// teachers are created when Forget is called.
-func NewIncompetentTrainer(id int, sc Scenario, ds *data.Dataset, temp float64) (*IncompetentTrainer, error) {
-	if err := sc.Validate(); err != nil {
-		return nil, err
+// competent teacher distills at the configuration's loss temperature
+// (cfg.Loss.Temp); the teachers are created when Forget is called.
+func NewIncompetentTrainer(id int, cfg core.Config, ds *data.Dataset) (*IncompetentTrainer, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, fmt.Errorf("baselines: %w", err)
 	}
-	if temp <= 0 {
-		return nil, fmt.Errorf("baselines: distillation temperature must be positive, got %g", temp)
+	if cfg.Loss.Temp <= 0 {
+		return nil, fmt.Errorf("baselines: distillation temperature must be positive, got %g", cfg.Loss.Temp)
 	}
 	if ds == nil || ds.Len() == 0 {
 		return nil, fmt.Errorf("baselines: client %d has no data", id)
 	}
-	mcfg := sc.Model
-	mcfg.Seed = sc.Model.Seed + int64(id)*881 + 3
+	mcfg := cfg.Model
+	mcfg.Seed = cfg.Model.Seed + int64(id)*881 + 3
 	student, err := model.Build(mcfg)
 	if err != nil {
 		return nil, fmt.Errorf("baselines: %w", err)
 	}
-	opt, err := optim.NewSGD(sc.Opt)
+	opt, err := optim.NewSGD(cfg.Opt)
 	if err != nil {
 		return nil, fmt.Errorf("baselines: %w", err)
 	}
 	return &IncompetentTrainer{
-		id:   id,
-		sc:   sc,
-		temp: temp,
-		dr:   ds,
-		net:  student,
-		opt:  opt,
-		rng:  rand.New(rand.NewSource(sc.Seed*3181 + int64(id))),
+		id:  id,
+		cfg: cfg,
+		dr:  ds,
+		net: student,
+		opt: opt,
+		rng: rand.New(rand.NewSource(cfg.Seed*3181 + int64(id))),
 	}, nil
 }
 
@@ -386,8 +256,8 @@ func (t *IncompetentTrainer) Forget(rows []int, contaminated []float64) error {
 	if dr.Len() == 0 {
 		return fmt.Errorf("baselines: client %d has no data after removal", t.id)
 	}
-	mcfg := t.sc.Model
-	mcfg.Seed = t.sc.Model.Seed + int64(t.id)*881 + 3
+	mcfg := t.cfg.Model
+	mcfg.Seed = t.cfg.Model.Seed + int64(t.id)*881 + 3
 	competent, err := model.Build(mcfg)
 	if err != nil {
 		return fmt.Errorf("baselines: %w", err)
@@ -395,7 +265,7 @@ func (t *IncompetentTrainer) Forget(rows []int, contaminated []float64) error {
 	if err := competent.SetStateVector(contaminated); err != nil {
 		return fmt.Errorf("baselines: loading competent teacher: %w", err)
 	}
-	mcfg.Seed = t.sc.Seed + int64(t.id)*6151 + 99 // random incompetent teacher
+	mcfg.Seed = t.cfg.Seed + int64(t.id)*6151 + 99 // random incompetent teacher
 	incompetent, err := model.Build(mcfg)
 	if err != nil {
 		return fmt.Errorf("baselines: %w", err)
@@ -420,12 +290,12 @@ func (t *IncompetentTrainer) TrainRound(ctx context.Context, round int, global [
 	params := t.net.Params()
 	unlearning := t.df != nil && t.df.Len() > 0 && t.competent != nil
 	var lastLoss float64
-	for e := 0; e < t.sc.LocalEpochs; e++ {
+	for e := 0; e < t.cfg.LocalEpochs; e++ {
 		if err := ctx.Err(); err != nil {
 			return fed.ModelUpdate{}, err
 		}
 		lastLoss = 0
-		batches := data.BatchIndices(t.dr.Len(), t.sc.BatchSize, t.rng)
+		batches := data.BatchIndices(t.dr.Len(), t.cfg.BatchSize, t.rng)
 		for _, b := range batches {
 			x := sliceX(t.dr, b)
 			logits := t.net.Forward(x, true)
@@ -435,7 +305,7 @@ func (t *IncompetentTrainer) TrainRound(ctx context.Context, round int, global [
 				// Chundawat et al.: the unlearning party distills the
 				// competent teacher on its remaining data.
 				tLogits := t.competent.Forward(x, false)
-				l, grad = loss.Distillation(logits, tLogits, t.temp)
+				l, grad = loss.Distillation(logits, tLogits, t.cfg.Loss.Temp)
 			} else {
 				// Clients without removals train normally; distilling them
 				// from the contaminated teacher would keep re-teaching the
@@ -457,7 +327,7 @@ func (t *IncompetentTrainer) TrainRound(ctx context.Context, round int, global [
 			// passes and distill sharply (T=1) so bad teaching wins.
 			const forgetPasses = 3
 			for pass := 0; pass < forgetPasses; pass++ {
-				for _, b := range data.BatchIndices(t.df.Len(), t.sc.BatchSize, t.rng) {
+				for _, b := range data.BatchIndices(t.df.Len(), t.cfg.BatchSize, t.rng) {
 					x := sliceX(t.df, b)
 					logits := t.net.Forward(x, true)
 					badLogits := t.incompetent.Forward(x, false)
@@ -476,38 +346,6 @@ func (t *IncompetentTrainer) TrainRound(ctx context.Context, round int, global [
 		NumSamples: t.dr.Len(),
 		TrainLoss:  lastLoss,
 	}, nil
-}
-
-// IncompetentTeacher implements B3. contaminated is the state vector of the
-// original (pre-deletion) global model: it seeds the student and acts as the
-// competent teacher; a randomly initialized network of the same architecture
-// is the incompetent teacher for the removed data.
-func IncompetentTeacher(ctx context.Context, sc Scenario, parts []*data.Dataset,
-	removed map[int][]int, contaminated []float64, rounds int, temp float64, onRound RoundHook) ([]float64, error) {
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
-	if temp <= 0 {
-		return nil, fmt.Errorf("baselines: distillation temperature must be positive, got %g", temp)
-	}
-	if len(contaminated) == 0 {
-		return nil, fmt.Errorf("baselines: B3 needs the contaminated global model")
-	}
-	trainers := make([]fed.LocalTrainer, len(parts))
-	for i, p := range parts {
-		t, err := NewIncompetentTrainer(i, sc, p, temp)
-		if err != nil {
-			return nil, err
-		}
-		if rows := removed[i]; len(rows) > 0 {
-			if err := t.Forget(rows, contaminated); err != nil {
-				return nil, err
-			}
-		}
-		trainers[i] = t
-	}
-	// B3 starts from the contaminated model rather than from scratch.
-	return runFederation(ctx, trainers, contaminated, rounds, onRound)
 }
 
 // sliceX extracts the given rows of a dataset as a batch tensor.

@@ -199,13 +199,13 @@ func RunTable12(opts Options) (*Report, error) {
 // trainLocalOnly trains a fresh model on one client's data alone (no
 // federation) and returns its test accuracy.
 func trainLocalOnly(ctx context.Context, s *setup, ds *data.Dataset, seed int64) (float64, error) {
-	mcfg := s.mcfg
+	mcfg := s.p.Model
 	mcfg.Seed = s.opts.Seed*257 + seed
 	net, err := model.Build(mcfg)
 	if err != nil {
 		return 0, err
 	}
-	opt, err := optim.NewSGD(optim.SGDConfig{LR: s.lr, Momentum: 0.9, ClipNorm: 5})
+	opt, err := optim.NewSGD(s.clientConfig().Opt)
 	if err != nil {
 		return 0, err
 	}
@@ -215,9 +215,9 @@ func trainLocalOnly(ctx context.Context, s *setup, ds *data.Dataset, seed int64)
 	}
 	gl := loss.Goldfish{Hard: loss.CrossEntropy{}, ForgetScale: 1}
 	rng := rand.New(rand.NewSource(seed + 911))
-	epochs := s.rounds * s.epochs
+	epochs := s.rounds * s.p.Epochs
 	for e := 0; e < epochs; e++ {
-		if _, err := core.TrainEpoch(ctx, net, nil, ds, idx, nil, gl, opt, s.batch, rng); err != nil {
+		if _, err := core.TrainEpoch(ctx, net, nil, ds, idx, nil, gl, opt, s.p.Batch, rng, nil); err != nil {
 			return 0, err
 		}
 	}

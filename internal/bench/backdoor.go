@@ -4,24 +4,11 @@ import (
 	"context"
 	"fmt"
 
-	"goldfish/internal/baselines"
 	"goldfish/internal/data"
 	"goldfish/internal/metrics"
 	"goldfish/internal/model"
-	"goldfish/internal/optim"
 	"goldfish/internal/unlearn"
 )
-
-// scenario converts a setup into the baseline Scenario.
-func (s *setup) scenario() baselines.Scenario {
-	return baselines.Scenario{
-		Model:       s.mcfg,
-		Opt:         optim.SGDConfig{LR: s.lr, Momentum: 0.9, ClipNorm: 5},
-		LocalEpochs: s.epochs,
-		BatchSize:   s.batch,
-		Seed:        s.opts.Seed,
-	}
-}
 
 // sweepPoint holds the final model states of every method at one deletion
 // rate, plus the probe data needed to evaluate them.
@@ -53,11 +40,10 @@ func (s *setup) runBackdoorPoint(ctx context.Context, rate int) (*sweepPoint, er
 	if err != nil {
 		return nil, err
 	}
-	removed := map[int][]int{0: poisoned}
-
 	// Origin + Ours share one federation: train on poisoned data, snapshot,
 	// then submit the deletion request and keep running (Algorithm 1).
-	f, err := unlearn.NewFederation(unlearn.Config{Client: s.clientConfig()}, parts)
+	cfg := s.clientConfig()
+	f, err := unlearn.NewFederation(unlearn.Config{Client: cfg}, parts)
 	if err != nil {
 		return nil, err
 	}
@@ -73,12 +59,12 @@ func (s *setup) runBackdoorPoint(ctx context.Context, rate int) (*sweepPoint, er
 	}
 	ours := f.Global()
 
-	sc := s.scenario()
-	b1, err := baselines.RetrainFromScratch(ctx, sc, parts, removed, s.rounds, nil)
+	b1, err := s.retrainBaseline(ctx, "retrain", cfg, parts, poisoned, nil)
 	if err != nil {
 		return nil, err
 	}
-	b3, err := baselines.IncompetentTeacher(ctx, sc, parts, removed, origin, s.rounds, 3, nil)
+	// B3 starts from the contaminated model rather than from scratch.
+	b3, err := s.runStrategy(ctx, "incompetent-teacher", cfg, parts, origin, poisoned, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -1,11 +1,51 @@
 package bench
 
 import (
+	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
 	"goldfish/internal/data"
 )
+
+var updateGolden = flag.Bool("update", false, "regenerate the golden experiment reports under testdata")
+
+// checkGolden compares a rendered report with testdata/<name>.golden byte
+// for byte. The goldens pin the paper tables' numbers, so any change to the
+// training path behind a column (Goldfish or a baseline) shows up here.
+// After an intentional change, regenerate with:
+//
+//	go test ./internal/bench -run 'TestRunTable3Tiny|TestRunFig4Tiny' -update
+func checkGolden(t *testing.T, name string, rep *Report) {
+	t.Helper()
+	var buf bytes.Buffer
+	rep.Render(&buf)
+	path := filepath.Join("testdata", name+".golden")
+	if *updateGolden {
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s", path)
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update)", err)
+	}
+	// Generated on amd64; architectures that fuse multiply-adds round
+	// training float ops differently.
+	if runtime.GOARCH != "amd64" {
+		t.Logf("skipping byte comparison on %s (goldens generated on amd64)", runtime.GOARCH)
+		return
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("%s: report drifted from the golden file\ngot:\n%s\nwant:\n%s", path, buf.Bytes(), want)
+	}
+}
 
 func tinyOpts() Options {
 	return Options{Scale: data.ScaleTiny, Seed: 1, Rounds: 4, DeletionRates: []int{6}}
@@ -111,6 +151,7 @@ func TestRunTable3Tiny(t *testing.T) {
 	if got := len(rep.Tables[0].Rows[0]); got != 9 {
 		t.Errorf("row has %d cells, want 9", got)
 	}
+	checkGolden(t, "table3-tiny", rep)
 }
 
 func TestRunFig6Tiny(t *testing.T) {
@@ -275,6 +316,7 @@ func TestRunFig4Tiny(t *testing.T) {
 	if len(rep.Tables) != 1 || len(rep.Tables[0].Rows) != 3 {
 		t.Errorf("speed table shape wrong: %+v", rep.Tables)
 	}
+	checkGolden(t, "fig4-tiny", rep)
 }
 
 func TestRunFig5Tiny(t *testing.T) {

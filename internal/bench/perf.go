@@ -270,7 +270,7 @@ func benchRound(opts Options, o *obs.Observer) (*RoundResult, error) {
 	res := &RoundResult{
 		Dataset:    "mnist",
 		Scale:      string(s.opts.Scale),
-		Clients:    s.clients,
+		Clients:    s.p.Clients,
 		Rounds:     rounds,
 		TotalSec:   total.Seconds(),
 		SecPerRnd:  total.Seconds() / float64(rounds),

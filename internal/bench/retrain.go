@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"goldfish/internal/baselines"
 	"goldfish/internal/unlearn"
 )
 
@@ -80,14 +79,37 @@ func runFig4Combo(c comboSpec, opts Options) (*Figure, error) {
 		n = 1
 	}
 	rows := s.rng.Perm(parts[0].Len())[:n]
-	removed := map[int][]int{0: rows}
 
 	// Train the pre-deletion global model; it becomes Goldfish's teacher.
-	f, err := unlearn.NewFederation(unlearn.Config{Client: s.clientConfig()}, parts)
+	cfg := s.clientConfig()
+	f, err := unlearn.NewFederation(unlearn.Config{Client: cfg}, parts)
 	if err != nil {
 		return nil, err
 	}
 	if err := f.Run(ctx, s.rounds, nil); err != nil {
+		return nil, err
+	}
+
+	// Ours: continue the federation through the unlearning rounds.
+	if err := f.RequestDeletion(0, rows); err != nil {
+		return nil, err
+	}
+	ours := &accuracyCurve{s: s, series: Series{Name: "ours"}}
+	if err := f.Run(ctx, s.rounds, ours.hook); err != nil {
+		return nil, err
+	}
+
+	// B2: rapid retraining (preconditioned updates want a smaller LR).
+	cfgB2 := cfg
+	cfgB2.Opt.LR /= 5
+	b2 := &accuracyCurve{s: s, series: Series{Name: "B2"}}
+	if _, err := s.retrainBaseline(ctx, "fisher", cfgB2, parts, rows, b2.hook); err != nil {
+		return nil, err
+	}
+
+	// B1: retrain from scratch.
+	b1 := &accuracyCurve{s: s, series: Series{Name: "B1"}}
+	if _, err := s.retrainBaseline(ctx, "retrain", cfg, parts, rows, b1.hook); err != nil {
 		return nil, err
 	}
 
@@ -96,56 +118,33 @@ func runFig4Combo(c comboSpec, opts Options) (*Figure, error) {
 		XLabel: "retraining round",
 		YLabel: "test accuracy",
 	}
-
-	// Ours: continue the federation through the unlearning rounds.
-	if err := f.RequestDeletion(0, rows); err != nil {
-		return nil, err
-	}
-	ours := Series{Name: "ours"}
-	err = f.Run(ctx, s.rounds, func(rs unlearn.RoundStats) {
-		acc, aerr := s.accuracy(rs.Global)
-		if aerr != nil {
-			err = aerr
-			return
+	for _, curve := range []*accuracyCurve{ours, b2, b1} {
+		if curve.err != nil {
+			return nil, curve.err
 		}
-		ours.X = append(ours.X, float64(len(ours.X)+1))
-		ours.Y = append(ours.Y, acc)
-	})
-	if err != nil {
-		return nil, err
+		fig.Series = append(fig.Series, curve.series)
 	}
-	fig.Series = append(fig.Series, ours)
-
-	// B2: rapid retraining (preconditioned updates want a smaller LR).
-	scB2 := s.scenario()
-	scB2.Opt.LR = s.lr / 5
-	b2 := Series{Name: "B2"}
-	if _, err := baselines.RapidRetrain(ctx, scB2, parts, removed, s.rounds, func(round int, global []float64) {
-		acc, aerr := s.accuracy(global)
-		if aerr != nil {
-			err = aerr
-			return
-		}
-		b2.X = append(b2.X, float64(round+1))
-		b2.Y = append(b2.Y, acc)
-	}); err != nil {
-		return nil, err
-	}
-	fig.Series = append(fig.Series, b2)
-
-	// B1: retrain from scratch.
-	b1 := Series{Name: "B1"}
-	if _, err := baselines.RetrainFromScratch(ctx, s.scenario(), parts, removed, s.rounds, func(round int, global []float64) {
-		acc, aerr := s.accuracy(global)
-		if aerr != nil {
-			err = aerr
-			return
-		}
-		b1.X = append(b1.X, float64(round+1))
-		b1.Y = append(b1.Y, acc)
-	}); err != nil {
-		return nil, err
-	}
-	fig.Series = append(fig.Series, b1)
 	return fig, nil
+}
+
+// accuracyCurve records the global model's test accuracy after every round
+// as a Series; pass hook as the round callback. err keeps the first
+// evaluation failure.
+type accuracyCurve struct {
+	s      *setup
+	series Series
+	err    error
+}
+
+func (c *accuracyCurve) hook(rs unlearn.RoundStats) {
+	if c.err != nil {
+		return
+	}
+	acc, err := c.s.accuracy(rs.Global)
+	if err != nil {
+		c.err = err
+		return
+	}
+	c.series.X = append(c.series.X, float64(len(c.series.X)+1))
+	c.series.Y = append(c.series.Y, acc)
 }

@@ -176,7 +176,7 @@ func RunServe(so ServeOptions) (*ServeReport, error) {
 	gen, err := serve.NewProfile(so.Profile, serve.ProfileConfig{
 		Clients:       len(parts),
 		RowsPerClient: rowsPer,
-		Classes:       s.mcfg.Classes,
+		Classes:       s.p.Model.Classes,
 		Seed:          opts.Seed,
 		// The burst overflows the queue by half its capacity, so the run
 		// demonstrates both a full sustained queue and backpressure retry.

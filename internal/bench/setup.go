@@ -1,15 +1,18 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
+	"goldfish/internal/baselines"
 	"goldfish/internal/core"
 	"goldfish/internal/data"
 	"goldfish/internal/metrics"
 	"goldfish/internal/model"
 	"goldfish/internal/nn"
 	"goldfish/internal/preset"
+	"goldfish/internal/unlearn"
 )
 
 // defaultRates returns the deletion-rate sweep (percent). The paper sweeps
@@ -29,17 +32,12 @@ func archFor(dataset string) model.Arch { return preset.ArchFor(dataset) }
 
 // setup bundles everything a backdoor-style experiment starts from.
 type setup struct {
-	opts    Options
-	p       preset.Preset
-	train   *data.Dataset
-	test    *data.Dataset
-	mcfg    model.Config
-	lr      float64
-	batch   int
-	epochs  int
-	rounds  int
-	clients int
-	rng     *rand.Rand
+	opts   Options
+	p      preset.Preset
+	train  *data.Dataset
+	test   *data.Dataset
+	rounds int
+	rng    *rand.Rand
 }
 
 // newSetup generates data and resolves configurations for one dataset/arch
@@ -58,32 +56,69 @@ func newSetup(dataset string, arch model.Arch, opts Options) (*setup, error) {
 		return nil, err
 	}
 	return &setup{
-		opts:    opts,
-		p:       p,
-		train:   train,
-		test:    test,
-		mcfg:    p.Model,
-		lr:      p.LR,
-		batch:   p.Batch,
-		epochs:  p.Epochs,
-		rounds:  p.Rounds,
-		clients: p.Clients,
-		rng:     rand.New(rand.NewSource(opts.Seed * 31337)),
+		opts:   opts,
+		p:      p,
+		train:  train,
+		test:   test,
+		rounds: p.Rounds,
+		rng:    rand.New(rand.NewSource(opts.Seed * 31337)),
 	}, nil
 }
 
 // clientConfig returns the Goldfish client configuration for this setup.
 func (s *setup) clientConfig() core.Config { return s.p.ClientConfig() }
 
+// runStrategy runs the registered unlearning strategy name over parts for
+// s.rounds rounds, starting at the global model start, and returns the final
+// global model. forget, when non-empty, is client 0's deletion request,
+// submitted before the first round. onRound may be nil.
+func (s *setup) runStrategy(ctx context.Context, name string, cfg core.Config, parts []*data.Dataset,
+	start []float64, forget []int, onRound func(unlearn.RoundStats)) ([]float64, error) {
+	strategy, err := unlearn.New(name)
+	if err != nil {
+		return nil, err
+	}
+	f, err := unlearn.NewFederation(unlearn.Config{Client: cfg, Unlearner: strategy}, parts)
+	if err != nil {
+		return nil, err
+	}
+	if err := f.SetGlobal(start); err != nil {
+		return nil, err
+	}
+	if len(forget) > 0 {
+		if err := f.RequestDeletion(0, forget); err != nil {
+			return nil, err
+		}
+	}
+	if err := f.Run(ctx, s.rounds, onRound); err != nil {
+		return nil, err
+	}
+	return f.Global(), nil
+}
+
+// retrainBaseline runs B1 ("retrain") or B2 ("fisher"): a freshly
+// initialized model trained over the partitions without client 0's removed
+// rows.
+func (s *setup) retrainBaseline(ctx context.Context, name string, cfg core.Config, parts []*data.Dataset,
+	removed []int, onRound func(unlearn.RoundStats)) ([]float64, error) {
+	start, err := baselines.ReinitVector(cfg, 0)
+	if err != nil {
+		return nil, err
+	}
+	clean := append([]*data.Dataset(nil), parts...)
+	clean[0] = parts[0].Remove(removed)
+	return s.runStrategy(ctx, name, cfg, clean, start, nil, onRound)
+}
+
 // partitionIID splits the training data across the setup's clients.
 func (s *setup) partitionIID() ([]*data.Dataset, error) {
-	return data.PartitionIID(s.train, s.clients, s.rng)
+	return data.PartitionIID(s.train, s.p.Clients, s.rng)
 }
 
 // evalNet loads a state vector into a fresh network of this setup's
 // architecture.
 func (s *setup) evalNet(state []float64) (*nn.Network, error) {
-	net, err := model.Build(s.mcfg)
+	net, err := model.Build(s.p.Model)
 	if err != nil {
 		return nil, err
 	}

@@ -222,7 +222,7 @@ func TestTrainEpochAndEvalHardLoss(t *testing.T) {
 	gl.MuD = 0
 	rng := rand.New(rand.NewSource(7))
 	for e := 0; e < 3; e++ {
-		if _, err := TrainEpoch(context.Background(), net, nil, train, idx, nil, gl, opt, cfg.BatchSize, rng); err != nil {
+		if _, err := TrainEpoch(context.Background(), net, nil, train, idx, nil, gl, opt, cfg.BatchSize, rng, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -235,8 +235,8 @@ func TestTrainEpochAndEvalHardLoss(t *testing.T) {
 	}
 }
 
-// TestClientAsFedTrainer exercises Client through the generic fed.Coordinator,
-// confirming the interfaces compose.
+// TestClientAsFedTrainer exercises Client through the generic round engine
+// over the in-process transport, confirming the interfaces compose.
 func TestClientAsFedTrainer(t *testing.T) {
 	train, _ := tinyMNIST(t)
 	parts, err := data.PartitionIID(train, 2, rand.New(rand.NewSource(8)))
@@ -256,12 +256,15 @@ func TestClientAsFedTrainer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord, err := fed.NewCoordinator(fed.CoordinatorConfig{Rounds: 2}, initNet.StateVector(), trainers)
+	engine, err := fed.NewEngine(fed.EngineConfig{}, initNet.StateVector(), fed.NewLocalTransport(trainers))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := coord.Run(context.Background()); err != nil {
+	if err := engine.Run(context.Background(), 2); err != nil {
 		t.Fatal(err)
+	}
+	if engine.Round() != 2 {
+		t.Errorf("engine completed %d rounds, want 2", engine.Round())
 	}
 }
 

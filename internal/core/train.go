@@ -20,16 +20,23 @@ type EpochResult struct {
 	TotalLoss float64
 }
 
+// GradTransform rewrites the freshly computed gradients of params in place
+// before each optimizer step (e.g. the B2 Fisher preconditioning).
+type GradTransform func(params []*nn.Param)
+
 // TrainEpoch runs one epoch of the Goldfish local procedure on student:
 // retain steps over the remaining rows (drIdx into ds) with optional
 // distillation from teacher, followed by forget steps over df (may be nil
-// or empty). It returns the epoch's mean losses.
+// or empty). transform, when non-nil, runs before every optimizer step. It
+// returns the epoch's mean losses.
 //
 // This is the inner loop of both the Goldfish procedure and the
 // LocalTraining procedure of Algorithm 1 (the latter is the special case
-// teacher == nil, df == nil). Baselines reuse it with their own settings.
+// teacher == nil, df == nil). The retrain baselines reuse it with their own
+// settings; Goldfish passes a nil transform.
 func TrainEpoch(ctx context.Context, student, teacher *nn.Network, ds *data.Dataset, drIdx []int,
-	df *data.Dataset, gl loss.Goldfish, opt *optim.SGD, batchSize int, rng *rand.Rand) (EpochResult, error) {
+	df *data.Dataset, gl loss.Goldfish, opt *optim.SGD, batchSize int, rng *rand.Rand,
+	transform GradTransform) (EpochResult, error) {
 
 	var res EpochResult
 	params := student.Params()
@@ -57,6 +64,9 @@ func TrainEpoch(ctx context.Context, student, teacher *nn.Network, ds *data.Data
 		}
 		student.ZeroGrads()
 		student.Backward(grad)
+		if transform != nil {
+			transform(params)
+		}
 		opt.Step(params)
 
 		res.HardLoss += hardLoss
@@ -79,6 +89,9 @@ func TrainEpoch(ctx context.Context, student, teacher *nn.Network, ds *data.Data
 			_, grad := gl.ForgetStep(logits, labels)
 			student.ZeroGrads()
 			student.Backward(grad)
+			if transform != nil {
+				transform(params)
+			}
 			opt.Step(params)
 		}
 	}
@@ -117,7 +130,7 @@ func TrainLocal(ctx context.Context, student, teacher *nn.Network, ds *data.Data
 	var last EpochResult
 	epochs := 0
 	for e := 0; e < maxEpochs; e++ {
-		res, err := TrainEpoch(ctx, student, teacher, ds, drIdx, df, gl, opt, batchSize, rng)
+		res, err := TrainEpoch(ctx, student, teacher, ds, drIdx, df, gl, opt, batchSize, rng, nil)
 		if err != nil {
 			return last, epochs, err
 		}

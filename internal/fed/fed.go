@@ -1,8 +1,9 @@
 // Package fed implements the federated-learning runtime the Goldfish
 // framework runs on: client/server round orchestration, model aggregation
-// (FedAvg and the paper's adaptive-weight scheme, Eqs. 12–13), an in-process
-// coordinator for simulations and tests, and a TCP transport (length-framed
-// gob) for running a real federation across processes.
+// (FedAvg and the paper's adaptive-weight scheme, Eqs. 12–13), one round
+// engine, an in-process transport for simulations and tests, and a TCP
+// transport (length-framed gob) for running a real federation across
+// processes.
 package fed
 
 import (
@@ -24,7 +25,7 @@ type ModelUpdate struct {
 	// TrainLoss is the client's final local training loss (diagnostics).
 	TrainLoss float64
 	// MSE is the model-quality score measured on the server's test set
-	// (paper Eq. 12); the coordinator fills it via its Scorer before
+	// (paper Eq. 12); the round engine fills it via its Scorer before
 	// aggregation.
 	MSE float64
 }

@@ -148,23 +148,36 @@ func (s *stubTrainer) TrainRound(_ context.Context, round int, global []float64)
 	return ModelUpdate{ClientID: s.id, Round: round, Params: append([]float64(nil), s.params...), NumSamples: s.samples}, nil
 }
 
+// runEngine drives trainers through rounds rounds of an Engine over the
+// in-process transport — the coordinator side of an in-process federation —
+// and returns the final global vector.
+func runEngine(ctx context.Context, cfg EngineConfig, initial []float64, trainers []LocalTrainer, rounds int) ([]float64, error) {
+	e, err := NewEngine(cfg, initial, NewLocalTransport(trainers))
+	if err != nil {
+		return nil, err
+	}
+	if err := e.Run(ctx, rounds); err != nil {
+		return nil, err
+	}
+	return e.Global(), nil
+}
+
 func TestCoordinatorRunsRounds(t *testing.T) {
 	a := &stubTrainer{id: 0, params: []float64{1, 1}, samples: 10}
 	b := &stubTrainer{id: 1, params: []float64{3, 3}, samples: 30}
 	var rounds []int
-	c, err := NewCoordinator(CoordinatorConfig{
-		Rounds: 3,
+	final, err := runEngine(context.Background(), EngineConfig{
 		OnRound: func(ri RoundInfo) {
 			rounds = append(rounds, ri.Round)
 			if len(ri.Updates) != 2 {
 				t.Errorf("round %d: %d updates, want 2", ri.Round, len(ri.Updates))
 			}
+			// The hook gets a copy: mutating it must not reach the engine.
+			for i := range ri.Global {
+				ri.Global[i] = math.NaN()
+			}
 		},
-	}, []float64{0, 0}, []LocalTrainer{a, b})
-	if err != nil {
-		t.Fatal(err)
-	}
-	final, err := c.Run(context.Background())
+	}, []float64{0, 0}, []LocalTrainer{a, b}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,19 +198,14 @@ func TestCoordinatorDropsFailedClients(t *testing.T) {
 	bad := &stubTrainer{id: 1, params: []float64{9}, samples: 10}
 	bad.fail.Store(true)
 	var sawDrop bool
-	c, err := NewCoordinator(CoordinatorConfig{
-		Rounds:     2,
+	final, err := runEngine(context.Background(), EngineConfig{
 		MinClients: 1,
 		OnRound: func(ri RoundInfo) {
 			if len(ri.Dropped) == 1 && ri.Dropped[0] == 1 {
 				sawDrop = true
 			}
 		},
-	}, []float64{0}, []LocalTrainer{good, bad})
-	if err != nil {
-		t.Fatal(err)
-	}
-	final, err := c.Run(context.Background())
+	}, []float64{0}, []LocalTrainer{good, bad}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,12 +220,8 @@ func TestCoordinatorDropsFailedClients(t *testing.T) {
 func TestCoordinatorAbortsBelowMinClients(t *testing.T) {
 	bad := &stubTrainer{id: 0, params: []float64{1}, samples: 1}
 	bad.fail.Store(true)
-	c, err := NewCoordinator(CoordinatorConfig{Rounds: 1, MinClients: 1},
-		[]float64{0}, []LocalTrainer{bad})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Run(context.Background()); err == nil {
+	if _, err := runEngine(context.Background(), EngineConfig{MinClients: 1},
+		[]float64{0}, []LocalTrainer{bad}, 1); err == nil {
 		t.Error("run should fail when all clients fail")
 	}
 }
@@ -228,15 +232,10 @@ func TestCoordinatorScorerFeedsAggregator(t *testing.T) {
 	scorer := ScorerFunc(func(params []float64) (float64, error) {
 		return params[0], nil // param value as MSE: client b is "worse"
 	})
-	c, err := NewCoordinator(CoordinatorConfig{
-		Rounds:     1,
+	final, err := runEngine(context.Background(), EngineConfig{
 		Aggregator: AdaptiveWeight{},
 		Scorer:     scorer,
-	}, []float64{0}, []LocalTrainer{a, b})
-	if err != nil {
-		t.Fatal(err)
-	}
-	final, err := c.Run(context.Background())
+	}, []float64{0}, []LocalTrainer{a, b}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,44 +246,41 @@ func TestCoordinatorScorerFeedsAggregator(t *testing.T) {
 
 func TestCoordinatorScorerError(t *testing.T) {
 	a := &stubTrainer{id: 0, params: []float64{0}, samples: 1}
-	c, err := NewCoordinator(CoordinatorConfig{
-		Rounds: 1,
+	if _, err := runEngine(context.Background(), EngineConfig{
 		Scorer: ScorerFunc(func([]float64) (float64, error) { return 0, errors.New("probe broken") }),
-	}, []float64{0}, []LocalTrainer{a})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Run(context.Background()); err == nil {
+	}, []float64{0}, []LocalTrainer{a}, 1); err == nil {
 		t.Error("scorer error should abort the run")
 	}
 }
 
 func TestCoordinatorCancellation(t *testing.T) {
 	a := &stubTrainer{id: 0, params: []float64{1}, samples: 1}
-	c, err := NewCoordinator(CoordinatorConfig{Rounds: 100}, []float64{0}, []LocalTrainer{a})
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.Run(ctx); err == nil {
+	if _, err := runEngine(ctx, EngineConfig{}, []float64{0}, []LocalTrainer{a}, 100); err == nil {
 		t.Error("cancelled run should fail")
+	}
+	if a.calls.Load() != 0 {
+		t.Errorf("cancelled run trained %d times", a.calls.Load())
 	}
 }
 
-func TestCoordinatorConfigValidation(t *testing.T) {
+func TestEngineConfigValidation(t *testing.T) {
 	tr := []LocalTrainer{&stubTrainer{params: []float64{1}, samples: 1}}
-	if _, err := NewCoordinator(CoordinatorConfig{Rounds: 0}, []float64{0}, tr); err == nil {
-		t.Error("0 rounds accepted")
+	ctx := context.Background()
+	if _, err := NewEngine(EngineConfig{}, []float64{0}, nil); err == nil {
+		t.Error("nil transport accepted")
 	}
-	if _, err := NewCoordinator(CoordinatorConfig{Rounds: 1}, []float64{0}, nil); err == nil {
-		t.Error("no trainers accepted")
-	}
-	if _, err := NewCoordinator(CoordinatorConfig{Rounds: 1}, nil, tr); err == nil {
+	if _, err := NewEngine(EngineConfig{}, nil, NewLocalTransport(tr)); err == nil {
 		t.Error("empty initial params accepted")
 	}
-	if _, err := NewCoordinator(CoordinatorConfig{Rounds: 1, MinClients: 2}, []float64{0}, tr); err == nil {
-		t.Error("MinClients > clients accepted")
+	if _, err := runEngine(ctx, EngineConfig{}, []float64{0}, nil, 1); err == nil {
+		t.Error("round with no trainers succeeded")
+	}
+	// MinClients is clamped to the sampled participants (the unlearning
+	// Federation rejects MinClients above its client count up front).
+	if _, err := runEngine(ctx, EngineConfig{MinClients: 2}, []float64{0}, tr, 1); err != nil {
+		t.Errorf("MinClients above the client count not clamped: %v", err)
 	}
 }
 
@@ -411,16 +407,11 @@ func TestCoordinatorClientSampling(t *testing.T) {
 		trainers[i] = s
 	}
 	var perRound []int
-	c, err := NewCoordinator(CoordinatorConfig{
-		Rounds:         6,
+	if _, err := runEngine(context.Background(), EngineConfig{
 		ClientFraction: 0.5,
 		SampleSeed:     3,
 		OnRound:        func(ri RoundInfo) { perRound = append(perRound, len(ri.Updates)) },
-	}, []float64{0}, trainers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Run(context.Background()); err != nil {
+	}, []float64{0}, trainers, 6); err != nil {
 		t.Fatal(err)
 	}
 	for r, n := range perRound {
@@ -439,18 +430,14 @@ func TestCoordinatorClientSampling(t *testing.T) {
 
 func TestCoordinatorClientFractionValidation(t *testing.T) {
 	tr := []LocalTrainer{&stubTrainer{params: []float64{1}, samples: 1}}
-	if _, err := NewCoordinator(CoordinatorConfig{Rounds: 1, ClientFraction: -0.1}, []float64{0}, tr); err == nil {
+	if _, err := NewEngine(EngineConfig{ClientFraction: -0.1}, []float64{0}, NewLocalTransport(tr)); err == nil {
 		t.Error("negative fraction accepted")
 	}
-	if _, err := NewCoordinator(CoordinatorConfig{Rounds: 1, ClientFraction: 1.5}, []float64{0}, tr); err == nil {
+	if _, err := NewEngine(EngineConfig{ClientFraction: 1.5}, []float64{0}, NewLocalTransport(tr)); err == nil {
 		t.Error("fraction > 1 accepted")
 	}
 	// Tiny fraction still samples at least one client.
-	c, err := NewCoordinator(CoordinatorConfig{Rounds: 1, ClientFraction: 0.01}, []float64{0}, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Run(context.Background()); err != nil {
+	if _, err := runEngine(context.Background(), EngineConfig{ClientFraction: 0.01}, []float64{0}, tr, 1); err != nil {
 		t.Errorf("minimum-one sampling failed: %v", err)
 	}
 }
@@ -513,16 +500,11 @@ func TestCoordinatorRoundTimeoutDropsStragglers(t *testing.T) {
 	fast := &stubTrainer{id: 0, params: []float64{3}, samples: 1}
 	slow := &slowTrainer{id: 1}
 	var dropped []int
-	c, err := NewCoordinator(CoordinatorConfig{
-		Rounds:       2,
+	start := time.Now()
+	final, err := runEngine(context.Background(), EngineConfig{
 		RoundTimeout: 50 * time.Millisecond,
 		OnRound:      func(ri RoundInfo) { dropped = append(dropped, ri.Dropped...) },
-	}, []float64{0}, []LocalTrainer{fast, slow})
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	final, err := c.Run(context.Background())
+	}, []float64{0}, []LocalTrainer{fast, slow}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,8 @@ package serve
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -11,9 +13,14 @@ import (
 // HTTP surface of the service, mounted on the observability mux
 // (goldfish-server -serve -obs-addr):
 //
-//	POST /unlearn               → 202 + ticket, 400 invalid, 429 + Retry-After when full
+//	POST /unlearn               → 202 + ticket, 400 invalid, 413 over maxRequestBytes,
+//	                              429 + Retry-After when full
 //	GET  /unlearn/stats         → queue depth, counters, forgetting-latency quantiles
 //	GET  /unlearn/requests/{id} → the ticket's current lifecycle state
+
+// maxRequestBytes bounds a POST /unlearn body. One request names rows of one
+// client; 1 MiB holds well over 100k row indices.
+const maxRequestBytes = 1 << 20
 
 // Mount registers the service's handlers on mux.
 func (s *Service) Mount(mux *http.ServeMux) {
@@ -45,9 +52,13 @@ func (s *Service) handleEnqueue(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req Request
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeRequest(http.MaxBytesReader(w, r.Body, maxRequestBytes), &req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeJSON(w, http.StatusRequestEntityTooLarge,
+				httpError{Error: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)})
+			return
+		}
 		writeJSON(w, http.StatusBadRequest, httpError{Error: "invalid request body: " + err.Error()})
 		return
 	}
@@ -62,6 +73,24 @@ func (s *Service) handleEnqueue(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusAccepted, t)
+}
+
+// decodeRequest decodes exactly one JSON request object from body; unknown
+// fields and anything after the object but whitespace are errors.
+func decodeRequest(body io.Reader, req *Request) error {
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(req); err != nil {
+		return err
+	}
+	switch err := dec.Decode(&struct{}{}); {
+	case errors.Is(err, io.EOF):
+		return nil
+	case err != nil:
+		return fmt.Errorf("trailing data after the JSON object: %w", err)
+	default:
+		return errors.New("trailing data after the JSON object")
+	}
 }
 
 // handleStats reports the service summary.

@@ -381,13 +381,20 @@ func (s *Service) applyBatchLocked(drained []*Ticket, round int) {
 		}
 	}
 	// Pass 2: sample deletions — subsumed by a pending removal of the same
-	// client, otherwise merged into that client's row union.
+	// client, otherwise merged into that client's row union. A request the
+	// federation would reject on its own (e.g. a row an earlier batch
+	// already removed) fails alone, so it cannot fail the union it would
+	// have joined.
 	for _, t := range drained {
 		if t.Kind != KindSample {
 			continue
 		}
 		if g, ok := removals[t.Client]; ok {
 			s.coalesceLocked(t, g) // the whole client is going away
+			continue
+		}
+		if err := s.fed.CheckDeletionRows(t.Client, t.Rows); err != nil {
+			s.finishGroupLocked(&group{tickets: []*Ticket{t}}, err, round)
 			continue
 		}
 		g, ok := samples[t.Client]

@@ -166,6 +166,65 @@ func TestCoalescedBatchMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestStaleRequestFailsAlone is the fate-sharing regression: a stale sample
+// request (a row an earlier batch already removed) and a valid one for the
+// same client arrive in one batch. The stale ticket fails with its own
+// reason; the valid one still applies.
+func TestStaleRequestFailsAlone(t *testing.T) {
+	f := newTestFederation(t, "retrain", 2)
+	svc, err := New(Config{Federation: f, QueueCap: 4, RecoveryRounds: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.Enqueue(Request{Kind: KindSample, Client: 0, Rows: []int{4}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Run(context.Background(), 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	stale, err := svc.Enqueue(Request{Kind: KindSample, Client: 0, Rows: []int{4, 6}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	valid, err := svc.Enqueue(Request{Kind: KindSample, Client: 0, Rows: []int{7}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Run(context.Background(), 2, nil); err != nil {
+		t.Fatal(err)
+	}
+	svc.Settle()
+
+	got, _ := svc.Lookup(stale.ID)
+	if got.Status != StatusFailed || !strings.Contains(got.Err, "row 4 already removed") || got.Coalesced {
+		t.Errorf("stale ticket = %+v, want failed alone on row 4", got)
+	}
+	if got, _ := svc.Lookup(valid.ID); got.Status != StatusRecovered || got.Err != "" {
+		t.Errorf("valid ticket = %+v, want recovered", got)
+	}
+	if want := []int{4, 7}; !reflect.DeepEqual(removedRows(f, 0), want) {
+		t.Errorf("removed rows = %v, want %v (row 6 belongs to the failed request)", removedRows(f, 0), want)
+	}
+	if st := svc.Stats(); st.Failed != 1 || st.Recovered != 2 {
+		t.Errorf("failed/recovered = %d/%d, want 1/2", st.Failed, st.Recovered)
+	}
+}
+
+// removedRows lists the original rows of a client the federation removed.
+func removedRows(f *unlearn.Federation, client int) []int {
+	remaining := map[int]bool{}
+	for _, r := range f.RemainingRows(client) {
+		remaining[r] = true
+	}
+	var out []int
+	for r := 0; r < f.Partition(client).Len(); r++ {
+		if !remaining[r] {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
 // TestBackpressure checks the bounded queue: beyond capacity Enqueue
 // rejects with ErrQueueFull, a round boundary drains the queue, and the
 // service accepts again afterwards.
@@ -323,13 +382,30 @@ func TestHTTPEndpoints(t *testing.T) {
 	}
 	_ = resp.Body.Close()
 
-	// Invalid bodies → 400.
-	for _, body := range []string{`{"kind":"bogus"}`, `{"kind":"sample","client":0,"rows":[0],"extra":1}`, `not json`} {
+	// Invalid bodies → 400, including valid requests followed by more data.
+	for _, body := range []string{
+		`{"kind":"bogus"}`,
+		`{"kind":"sample","client":0,"rows":[0],"extra":1}`,
+		`not json`,
+		`{"kind":"sample","client":0,"rows":[0]} {}`,
+		`{"kind":"sample","client":0,"rows":[0]}garbage`,
+	} {
 		resp = post(body)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("POST %q: status = %d, want 400", body, resp.StatusCode)
 		}
 		_ = resp.Body.Close()
+	}
+
+	// A body over the limit → 413 with a reason, before any decoding.
+	resp = post(`{"kind":"sample","client":0,"rows":[` + strings.Repeat("1,", maxRequestBytes/2) + `1]}`)
+	var herr httpError
+	if err := json.NewDecoder(resp.Body).Decode(&herr); err != nil {
+		t.Fatal(err)
+	}
+	_ = resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(herr.Error, "exceeds") {
+		t.Errorf("oversized POST: status = %d error %q, want 413 with a reason", resp.StatusCode, herr.Error)
 	}
 
 	// Wrong methods → 405.

@@ -9,19 +9,6 @@ import (
 	"goldfish/internal/fed"
 )
 
-// scenario projects the shared client configuration onto the baselines'
-// setup (the baselines train on plain hard loss, so the composite-loss
-// fields are dropped).
-func scenario(c core.Config) baselines.Scenario {
-	return baselines.Scenario{
-		Model:       c.Model,
-		Opt:         c.Opt,
-		LocalEpochs: c.LocalEpochs,
-		BatchSize:   c.BatchSize,
-		Seed:        c.Seed,
-	}
-}
-
 // retrainStrategy implements B1 ("retrain") and B2 ("fisher"): a deletion
 // drops the rows from the owning client and restarts federated training
 // from a freshly initialized global model over the remaining data. With
@@ -30,7 +17,7 @@ func scenario(c core.Config) baselines.Scenario {
 type retrainStrategy struct {
 	name     string
 	precond  bool
-	sc       baselines.Scenario
+	cfg      core.Config
 	trainers []*baselines.PlainTrainer
 	reinits  int64
 	nextID   int
@@ -46,11 +33,11 @@ func (r *retrainStrategy) Name() string { return r.name }
 
 // Setup implements Strategy.
 func (r *retrainStrategy) Setup(env Env) ([]fed.LocalTrainer, error) {
-	r.sc = scenario(env.Client)
+	r.cfg = env.Client
 	r.trainers = make([]*baselines.PlainTrainer, len(env.Parts))
 	trainers := make([]fed.LocalTrainer, len(env.Parts))
 	for i, p := range env.Parts {
-		t, err := baselines.NewPlainTrainer(i, r.sc, p, r.precond)
+		t, err := baselines.NewPlainTrainer(i, r.cfg, p, r.precond)
 		if err != nil {
 			return nil, err
 		}
@@ -65,7 +52,7 @@ func (r *retrainStrategy) Setup(env Env) ([]fed.LocalTrainer, error) {
 // round onward.
 func (r *retrainStrategy) AddTrainer(ds *data.Dataset) (fed.LocalTrainer, int, error) {
 	id := r.nextID
-	t, err := baselines.NewPlainTrainer(id, r.sc, ds, r.precond)
+	t, err := baselines.NewPlainTrainer(id, r.cfg, ds, r.precond)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -96,7 +83,7 @@ func (r *retrainStrategy) RemoveTrainer(i int, unlearnDeparted bool) ([]float64,
 		}
 	}
 	r.reinits++
-	return baselines.ReinitVector(r.sc, r.reinits*7919)
+	return baselines.ReinitVector(r.cfg, r.reinits*7919)
 }
 
 // Forget implements Strategy: drop the rows, reset every client's
@@ -119,7 +106,7 @@ func (r *retrainStrategy) Forget(clientID int, rows []int, _ []float64) ([]float
 		}
 	}
 	r.reinits++
-	return baselines.ReinitVector(r.sc, r.reinits*7919)
+	return baselines.ReinitVector(r.cfg, r.reinits*7919)
 }
 
 // teacherStrategy implements B3 ("incompetent-teacher", Chundawat et al.):
@@ -139,11 +126,10 @@ func (t *teacherStrategy) Name() string { return "incompetent-teacher" }
 // Setup implements Strategy. The distillation temperature is taken from the
 // client configuration's loss (paper default T=3).
 func (t *teacherStrategy) Setup(env Env) ([]fed.LocalTrainer, error) {
-	sc := scenario(env.Client)
 	t.trainers = make([]*baselines.IncompetentTrainer, len(env.Parts))
 	trainers := make([]fed.LocalTrainer, len(env.Parts))
 	for i, p := range env.Parts {
-		tr, err := baselines.NewIncompetentTrainer(i, sc, p, env.Client.Loss.Temp)
+		tr, err := baselines.NewIncompetentTrainer(i, env.Client, p)
 		if err != nil {
 			return nil, err
 		}

@@ -218,6 +218,17 @@ func (f *Federation) SetBeforeRound(fn func(ctx context.Context, round int) erro
 // Global returns a copy of the current global state vector.
 func (f *Federation) Global() []float64 { return f.engine.Global() }
 
+// SetGlobal replaces the global state vector before the next round, e.g. to
+// start a baseline from a given model. The vector must have the model's
+// length.
+func (f *Federation) SetGlobal(g []float64) error {
+	if want := len(f.engine.Global()); len(g) != want {
+		return fmt.Errorf("unlearn: global state has %d values, want %d", len(g), want)
+	}
+	f.engine.SetGlobal(g)
+	return nil
+}
+
 // GlobalNet returns a fresh network loaded with the current global state.
 func (f *Federation) GlobalNet() (*nn.Network, error) {
 	net, err := buildModel(f.cfg.Client.Model)
@@ -299,22 +310,13 @@ func (f *Federation) settleForgetMarks() {
 // Rows already removed by an earlier request are rejected, mirroring the
 // Goldfish client's double-removal check.
 func (f *Federation) RequestDeletionRows(clientID int, rows []int) error {
-	if clientID < 0 || clientID >= len(f.parts) {
-		return fmt.Errorf("unlearn: client %d out of range [0,%d)", clientID, len(f.parts))
+	if err := f.CheckDeletionRows(clientID, rows); err != nil {
+		return err
 	}
-	if len(rows) == 0 {
-		return fmt.Errorf("unlearn: client %d: empty deletion request", clientID)
-	}
-	part, rem := f.parts[clientID], f.removed[clientID]
+	rem := f.removed[clientID]
 	uniq := make([]int, 0, len(rows))
 	seen := make(map[int]bool, len(rows))
 	for _, r := range rows {
-		if r < 0 || r >= part.Len() {
-			return fmt.Errorf("unlearn: client %d: row %d out of range [0,%d)", clientID, r, part.Len())
-		}
-		if rem[r] {
-			return fmt.Errorf("unlearn: client %d: row %d already removed", clientID, r)
-		}
 		if !seen[r] {
 			seen[r] = true
 			uniq = append(uniq, r)
@@ -328,6 +330,29 @@ func (f *Federation) RequestDeletionRows(clientID int, rows []int) error {
 	}
 	for _, r := range uniq {
 		rem[r] = true
+	}
+	return nil
+}
+
+// CheckDeletionRows reports the error RequestDeletionRows would return for
+// these rows before reaching the strategy: an unknown client, an empty
+// request, a row outside the original dataset, or a row already removed.
+// It changes nothing.
+func (f *Federation) CheckDeletionRows(clientID int, rows []int) error {
+	if clientID < 0 || clientID >= len(f.parts) {
+		return fmt.Errorf("unlearn: client %d out of range [0,%d)", clientID, len(f.parts))
+	}
+	if len(rows) == 0 {
+		return fmt.Errorf("unlearn: client %d: empty deletion request", clientID)
+	}
+	part, rem := f.parts[clientID], f.removed[clientID]
+	for _, r := range rows {
+		if r < 0 || r >= part.Len() {
+			return fmt.Errorf("unlearn: client %d: row %d out of range [0,%d)", clientID, r, part.Len())
+		}
+		if rem[r] {
+			return fmt.Errorf("unlearn: client %d: row %d already removed", clientID, r)
+		}
 	}
 	return nil
 }

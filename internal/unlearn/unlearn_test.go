@@ -252,6 +252,17 @@ func TestFederationValidation(t *testing.T) {
 	if f.Client(-1) != nil {
 		t.Error("negative Client(i) should be nil, not panic")
 	}
+	g := f.Global()
+	if err := f.SetGlobal(g[1:]); err == nil {
+		t.Error("short global state accepted")
+	}
+	g[0] = 42
+	if err := f.SetGlobal(g); err != nil {
+		t.Fatal(err)
+	}
+	if got := f.Global()[0]; got != 42 {
+		t.Errorf("SetGlobal did not replace the global state: got %g", got)
+	}
 }
 
 func TestFederationCancellation(t *testing.T) {
