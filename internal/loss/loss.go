@@ -230,17 +230,3 @@ func Confusion(logits *tensor.Tensor) (float64, *tensor.Tensor) {
 	}
 	return total * inv, grad
 }
-
-// ByName returns the hard loss registered under name ("ce", "focal", "nll").
-func ByName(name string) (Hard, error) {
-	switch name {
-	case "ce", "":
-		return CrossEntropy{}, nil
-	case "focal":
-		return Focal{Gamma: 2}, nil
-	case "nll":
-		return NLL{}, nil
-	default:
-		return nil, fmt.Errorf("loss: unknown hard loss %q", name)
-	}
-}

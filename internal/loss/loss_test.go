@@ -258,17 +258,6 @@ func TestGoldfishAblationToggles(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	for _, name := range []string{"ce", "focal", "nll", ""} {
-		if _, err := ByName(name); err != nil {
-			t.Errorf("ByName(%q) failed: %v", name, err)
-		}
-	}
-	if _, err := ByName("bogus"); err == nil {
-		t.Error("ByName(bogus) should fail")
-	}
-}
-
 // Property: CE loss is non-negative and gradient rows sum to ~0 for all
 // random logits.
 func TestQuickCEProperties(t *testing.T) {

@@ -8,9 +8,11 @@
 //
 // Every accepted request becomes a Ticket tracking its lifecycle
 // (queued → applied → recovered, or failed) with per-request rounds-to-forget
-// and time-to-forget landing in the serve.* observability histograms — the
-// substrate for the p50/p99 forgetting-latency SLO report
-// (internal/bench RunServe, `goldfish-bench -exp serve`).
+// and time-to-forget landing in the serve.* observability histograms. The
+// repo benchmark's deletion-stream workload (gfbench/) measures the service
+// under load; the package tests hold its service properties: a burst past
+// the queue bound is retried until accepted, and an idle service leaves
+// training bit-identical.
 package serve
 
 import (

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -17,6 +18,7 @@ import (
 	"goldfish/internal/data"
 	"goldfish/internal/loss"
 	"goldfish/internal/model"
+	"goldfish/internal/obs"
 	"goldfish/internal/optim"
 	"goldfish/internal/unlearn"
 )
@@ -263,6 +265,98 @@ func TestBackpressure(t *testing.T) {
 	}
 }
 
+// TestBurstRetriedUntilAccepted overflows the queue with one burst of
+// sample requests, half its capacity past the bound. Rejected requests are
+// retried at later round boundaries until accepted, so the run shows
+// backpressure, a full queue's worth of accepted requests, no failures and
+// settled forgetting-latency quantiles.
+func TestBurstRetriedUntilAccepted(t *testing.T) {
+	const queueCap = 8
+	f := newTestFederation(t, "", 3)
+	svc, err := New(Config{Federation: f, QueueCap: queueCap, RecoveryRounds: 1, Observer: obs.New(nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	burst := queueCap + (queueCap+1)/2
+	var backlog []Request
+	for i := 0; i < burst; i++ {
+		backlog = append(backlog, Request{Kind: KindSample, Client: i % 3, Rows: []int{i}})
+	}
+	// The retry loop composes with the service's own hook: the backlog is
+	// offered first, then the service drains its queue into the round.
+	retried := 0
+	f.SetBeforeRound(func(ctx context.Context, round int) error {
+		pending := backlog
+		backlog = nil
+		for _, req := range pending {
+			switch _, err := svc.Enqueue(req); {
+			case errors.Is(err, ErrQueueFull):
+				backlog = append(backlog, req)
+				retried++
+			case err != nil:
+				return err
+			}
+		}
+		return svc.BeforeRound(ctx, round)
+	})
+	if err := f.Run(context.Background(), 4, nil); err != nil {
+		t.Fatal(err)
+	}
+	svc.Settle()
+
+	if len(backlog) != 0 || retried == 0 {
+		t.Errorf("backlog = %d after the run, retried = %d; want every rejected request retried and accepted",
+			len(backlog), retried)
+	}
+	st := svc.Stats()
+	if st.Rejected <= 0 {
+		t.Errorf("rejected = %d, want > 0 (the burst overflows the queue)", st.Rejected)
+	}
+	if st.Accepted < queueCap || st.Accepted != int64(burst) {
+		t.Errorf("accepted = %d, want every one of the %d burst requests (at least the queue cap %d)",
+			st.Accepted, burst, queueCap)
+	}
+	if st.Failed != 0 {
+		t.Errorf("failed = %d, want 0", st.Failed)
+	}
+	if st.RoundsToForget.Count <= 0 || st.RoundsToForget.P99 <= 0 {
+		t.Errorf("rounds-to-forget quantiles = %+v, want a positive count and p99", st.RoundsToForget)
+	}
+}
+
+// TestIdleServiceIsTrainingNoOp attaches a service that never receives a
+// request, with an observer, and runs it next to an identical federation
+// with no service at all: the global models must be bit-identical and the
+// round counts equal.
+func TestIdleServiceIsTrainingNoOp(t *testing.T) {
+	const rounds = 3
+	served := newTestFederation(t, "", 3)
+	plain := newTestFederation(t, "", 3)
+	o := obs.New(nil)
+	if _, err := New(Config{Federation: served, QueueCap: 4, Observer: o}); err != nil {
+		t.Fatal(err)
+	}
+	if err := served.Run(obs.NewContext(context.Background(), o), rounds, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := plain.Run(context.Background(), rounds, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	if got, want := served.Round(), plain.Round(); got != want {
+		t.Errorf("rounds: served %d, plain %d", got, want)
+	}
+	got, want := served.Global(), plain.Global()
+	if len(got) != len(want) {
+		t.Fatalf("global length: served %d, plain %d", len(got), len(want))
+	}
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("global[%d]: served %v, plain %v (an idle service changed training)", i, got[i], want[i])
+		}
+	}
+}
+
 // TestEnqueueValidation checks the fast-reject paths.
 func TestEnqueueValidation(t *testing.T) {
 	f := newTestFederation(t, "", 2)
@@ -457,87 +551,5 @@ func TestHTTPEndpoints(t *testing.T) {
 	}
 	if resp, _ := get("/unlearn/requests/abc"); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("GET ticket abc: status = %d, want 400", resp.StatusCode)
-	}
-}
-
-// TestProfiles checks the deterministic load generators: same seed, same
-// stream; burst fires only at its round; interleaved mixes kinds and only
-// ever removes the last participant position.
-func TestProfiles(t *testing.T) {
-	cfg := ProfileConfig{Clients: 4, RowsPerClient: []int{30, 30, 30, 30}, Classes: 10, Seed: 42}
-
-	if _, err := NewProfile("bogus", cfg); err == nil {
-		t.Error("unknown profile accepted")
-	}
-	if _, err := NewProfile("steady", ProfileConfig{Clients: 2, RowsPerClient: []int{5}}); err == nil {
-		t.Error("mismatched RowsPerClient accepted")
-	}
-
-	for _, name := range ProfileNames() {
-		a, err := NewProfile(name, cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		b, err := NewProfile(name, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for round := 0; round < 10; round++ {
-			ra, rb := a.Requests(round), b.Requests(round)
-			if !reflect.DeepEqual(ra, rb) {
-				t.Errorf("%s round %d: same seed diverged: %v vs %v", name, round, ra, rb)
-			}
-		}
-	}
-
-	idle, _ := NewProfile("idle", cfg)
-	for round := 0; round < 5; round++ {
-		if reqs := idle.Requests(round); len(reqs) != 0 {
-			t.Errorf("idle round %d produced %d requests", round, len(reqs))
-		}
-	}
-
-	burst, _ := NewProfile("burst", ProfileConfig{
-		Clients: 4, RowsPerClient: []int{30, 30, 30, 30}, Classes: 10, Seed: 1, BurstRound: 2, BurstSize: 12,
-	})
-	for round := 0; round < 5; round++ {
-		reqs := burst.Requests(round)
-		if round != 2 && len(reqs) != 0 {
-			t.Errorf("burst round %d produced %d requests, want 0", round, len(reqs))
-		}
-		if round == 2 && len(reqs) != 12 {
-			t.Errorf("burst round 2 produced %d requests, want 12", len(reqs))
-		}
-	}
-
-	inter, _ := NewProfile("interleaved", cfg)
-	kinds := map[Kind]int{}
-	removals := 0
-	for round := 0; round < 20; round++ {
-		for _, r := range inter.Requests(round) {
-			kinds[r.Kind]++
-			if r.Kind == KindClient {
-				want := cfg.Clients - 1 - removals
-				if r.Client != want {
-					t.Errorf("round %d: removal targets client %d, want last position %d", round, r.Client, want)
-				}
-				if want < 1 {
-					t.Error("removal would empty the federation")
-				}
-				removals++
-			}
-			if r.Kind == KindSample {
-				for _, row := range r.Rows {
-					if row < 0 || row >= 30 {
-						t.Errorf("sample row %d out of range", row)
-					}
-				}
-			}
-		}
-	}
-	for _, k := range []Kind{KindSample, KindClass, KindClient} {
-		if kinds[k] == 0 {
-			t.Errorf("interleaved never produced a %s request", k)
-		}
 	}
 }

@@ -242,12 +242,16 @@ func (f *Federation) GlobalNet() (*nn.Network, error) {
 }
 
 // RequestDeletion submits a deletion request for rows of a client's local
-// dataset. The strategy decides how it is honoured: Goldfish runs
-// Algorithm 1 lines 8–17, the retrain baselines drop the rows and restart
-// from scratch, the incompetent teacher distills the data away.
+// dataset, in the strategy's own addressing (see RowAddresser). The
+// strategy decides how it is honoured: Goldfish runs Algorithm 1 lines
+// 8–17, the retrain baselines drop the rows and restart from scratch, the
+// incompetent teacher distills the data away. The removed rows are recorded
+// against the original dataset, so RemainingRows and later original-row
+// requests see them.
 func (f *Federation) RequestDeletion(clientID int, rows []int) error {
 	f.obs.Event("unlearn/request",
 		obs.Str("strategy", f.strategy.Name()), obs.Int("client", clientID), obs.Int("rows", len(rows)))
+	orig := f.originalRows(clientID, rows)
 	sp := f.obs.StartSpan("unlearn/forget",
 		obs.Str("strategy", f.strategy.Name()), obs.Int("client", clientID))
 	next, err := f.strategy.Forget(clientID, rows, f.engine.Global())
@@ -257,6 +261,9 @@ func (f *Federation) RequestDeletion(clientID int, rows []int) error {
 	}
 	if next != nil {
 		f.engine.SetGlobal(next)
+	}
+	for _, r := range orig {
+		f.removed[clientID][r] = true
 	}
 	f.pendingUnlearn = true
 	f.obs.Counter("unlearn.requests").Inc()
@@ -313,7 +320,6 @@ func (f *Federation) RequestDeletionRows(clientID int, rows []int) error {
 	if err := f.CheckDeletionRows(clientID, rows); err != nil {
 		return err
 	}
-	rem := f.removed[clientID]
 	uniq := make([]int, 0, len(rows))
 	seen := make(map[int]bool, len(rows))
 	for _, r := range rows {
@@ -324,14 +330,7 @@ func (f *Federation) RequestDeletionRows(clientID int, rows []int) error {
 	}
 	sort.Ints(uniq)
 
-	mapped := f.mapRowsForStrategy(clientID, uniq)
-	if err := f.RequestDeletion(clientID, mapped); err != nil {
-		return err
-	}
-	for _, r := range uniq {
-		rem[r] = true
-	}
-	return nil
+	return f.RequestDeletion(clientID, f.mapRowsForStrategy(clientID, uniq))
 }
 
 // CheckDeletionRows reports the error RequestDeletionRows would return for
@@ -380,6 +379,24 @@ func (f *Federation) mapRowsForStrategy(clientID int, rows []int) []int {
 		mapped[i] = r - shift
 	}
 	return mapped
+}
+
+// originalRows translates rows in the strategy's addressing to the client's
+// original dataset: the inverse of mapRowsForStrategy, read before the
+// strategy removes them. Rows outside the current view are left out (the
+// strategy rejects them).
+func (f *Federation) originalRows(clientID int, rows []int) []int {
+	if ra, ok := f.strategy.(RowAddresser); ok && ra.AddressesOriginalRows() {
+		return rows
+	}
+	remaining := f.RemainingRows(clientID)
+	out := make([]int, 0, len(rows))
+	for _, r := range rows {
+		if r >= 0 && r < len(remaining) {
+			out = append(out, remaining[r])
+		}
+	}
+	return out
 }
 
 // RemainingRows returns the not-yet-removed original row indices of

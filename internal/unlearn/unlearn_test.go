@@ -3,6 +3,7 @@ package unlearn
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -515,6 +516,77 @@ func TestRequestDeletionRowsRemapsForCurrentView(t *testing.T) {
 			}
 			if err := f.Run(ctx, 1, nil); err != nil {
 				t.Fatalf("%s: round after deletions: %v", name, err)
+			}
+		})
+	}
+}
+
+// TestRequestDeletionRecordsOriginalRows checks that a deletion submitted
+// in the strategy's own addressing (RequestDeletion) lands in the
+// federation's original-row bookkeeping, for every strategy. After a prior
+// removal of original row 2, row 5 of the strategy's view is original row 5
+// for Goldfish (original addressing) and original row 6 for the baselines
+// (current view). That row must leave RemainingRows, a repeat request for it
+// must be rejected as already removed, and a class deletion covering it must
+// neither fail nor delete a different row in its place.
+func TestRequestDeletionRecordsOriginalRows(t *testing.T) {
+	train, _ := tinyMNIST(t)
+	for _, tc := range []struct {
+		name string
+		orig int
+	}{
+		{"goldfish", 5},
+		{"retrain", 6},
+		{"fisher", 6},
+		{"incompetent-teacher", 6},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			parts, err := data.PartitionIID(train, 3, rand.New(rand.NewSource(77)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := New(tc.name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := NewFederation(Config{Client: testConfig(10), Unlearner: s}, parts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := f.RequestDeletionRows(0, []int{2}); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.RequestDeletion(0, []int{5}); err != nil {
+				t.Fatal(err)
+			}
+			removed := map[int]bool{2: true, tc.orig: true}
+			var want []int
+			for r := 0; r < parts[0].Len(); r++ {
+				if !removed[r] {
+					want = append(want, r)
+				}
+			}
+			if got := f.RemainingRows(0); !slices.Equal(got, want) {
+				t.Fatalf("RemainingRows(0) = %v, want all rows but 2 and %d", got, tc.orig)
+			}
+			err = f.RequestDeletionRows(0, []int{tc.orig})
+			if err == nil || !strings.Contains(err.Error(), "already removed") {
+				t.Errorf("repeat request for original row %d: err = %v, want already removed", tc.orig, err)
+			}
+			rows, err := f.RequestClassDeletion(parts[0].Y[tc.orig])
+			if err != nil {
+				t.Fatalf("class deletion covering original row %d: %v", tc.orig, err)
+			}
+			if want := f.RemainingRowsOfClass(0, parts[0].Y[tc.orig]); len(want) != 0 {
+				t.Errorf("client 0 still holds rows %v of the deleted class", want)
+			}
+			for _, r := range rows[0] {
+				if removed[r] || parts[0].Y[r] != parts[0].Y[tc.orig] {
+					t.Errorf("class deletion removed original row %d (label %d)", r, parts[0].Y[r])
+				}
+			}
+			if err := f.Run(context.Background(), 1, nil); err != nil {
+				t.Fatalf("round after deletions: %v", err)
 			}
 		})
 	}
